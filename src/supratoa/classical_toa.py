@@ -196,7 +196,11 @@ def toa_quadrature(V: Potential, pt: PhasePoint, tol: float = 1e-10) -> float:
             raise NotAccessible(f"H - V <= 0 near q' = {qi:.6g}")
 
     def integrand(qp: float) -> float:
-        return 1.0 / math.sqrt(energy - V.value(qp))
+        # the scan can miss a barrier narrower than its spacing
+        kinetic = energy - V.value(qp)
+        if kinetic <= 0:
+            raise NotAccessible(f"H - V <= 0 at q' = {qp:.6g}")
+        return 1.0 / math.sqrt(kinetic)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import click
@@ -61,7 +61,6 @@ class RunConfig:
     jmax: int = 6
     kmax: int = 6
     quad_abs_tol: float = 1e-10
-    series_tol: float = 1e-12
     format: str | None = None
     out: str | None = None
     threshold: float = 1e-6
@@ -129,35 +128,21 @@ def _to_int(key: str, raw: str) -> int:
         raise ConfigError(f"key {key!r}: not an integer: {raw!r}") from exc
 
 
-_PARSERS = {
-    "potential": lambda raw: _parse_potential(raw),
-    "mu": lambda raw: _to_rational("mu", raw),
-    "hbar": lambda raw: _to_float("hbar", raw),
-    "x": lambda raw: _to_rational("x", raw),
-    "jmax": lambda raw: _to_int("jmax", raw),
-    "kmax": lambda raw: _to_int("kmax", raw),
-    "quad_abs_tol": lambda raw: _to_float("quad_abs_tol", raw),
-    "series_tol": lambda raw: _to_float("series_tol", raw),
-    "format": lambda raw: raw.strip(),
-    "out": lambda raw: raw.strip(),
-    "threshold": lambda raw: _to_float("threshold", raw),
-    "phi_center": lambda raw: _to_float("phi_center", raw),
-    "phi_halfwidth": lambda raw: _to_float("phi_halfwidth", raw),
-    "psi_center": lambda raw: _to_float("psi_center", raw),
-    "psi_halfwidth": lambda raw: _to_float("psi_halfwidth", raw),
-    "grid_kind": lambda raw: raw.strip(),
-    "qmin": lambda raw: _to_float("qmin", raw),
-    "qmax": lambda raw: _to_float("qmax", raw),
-    "nq": lambda raw: _to_int("nq", raw),
-    "qpmin": lambda raw: _to_float("qpmin", raw),
-    "qpmax": lambda raw: _to_float("qpmax", raw),
-    "nqp": lambda raw: _to_int("nqp", raw),
-    "pmin": lambda raw: _to_float("pmin", raw),
-    "pmax": lambda raw: _to_float("pmax", raw),
-    "np": lambda raw: _to_int("np", raw),
-    "q": lambda raw: _to_float("q", raw),
-    "p": lambda raw: _to_float("p", raw),
+def _to_text(key: str, raw: str) -> str:
+    return raw.strip()
+
+
+# RunConfig annotation (a string under postponed evaluation) -> (key, raw) parser
+_TYPE_PARSERS = {
+    "Potential": lambda key, raw: _parse_potential(raw),
+    "Fraction": _to_rational,
+    "float": _to_float,
+    "int": _to_int,
+    "str": _to_text,
+    "str | None": _to_text,
 }
+
+_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -173,7 +158,7 @@ def parse_config_text(text: str) -> RunConfig:
         parser = _PARSERS.get(key)
         if parser is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[key] = parser(raw)
+        values[key] = parser(key, raw)
     config = RunConfig(**values)
     _validate(config)
     return config
@@ -184,8 +169,10 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("key 'jmax': must be >= 0")
     if config.kmax < 0:
         raise ConfigError("key 'kmax': must be >= 0")
-    if config.quad_abs_tol <= 0 or config.series_tol <= 0:
-        raise ConfigError("tolerances must be positive")
+    if config.quad_abs_tol <= 0:
+        raise ConfigError("key 'quad_abs_tol': must be positive")
+    if config.mu <= 0:
+        raise ConfigError("key 'mu': must be positive")
     if config.hbar <= 0:
         raise ConfigError("key 'hbar': must be positive")
     if config.format is not None and config.format not in _FORMATS:
@@ -292,6 +279,8 @@ def cmd_commutator(config: RunConfig) -> int:
     """Measure the canonical-commutator residual of the solved kernel."""
     if (config.format or "json") != "json":
         raise ConfigError("commutator reports are json only")
+    if config.x:
+        raise ConfigError("key 'x': commutator works at the origin only; x must be 0")
     V = config.potential
     K = solve_kernel_general(KernelRequest(V=V, mu=config.mu, Jmax=config.jmax))
     phi = BumpProfile(config.phi_center, config.phi_halfwidth)
@@ -309,6 +298,8 @@ def cmd_weyl_compare(config: RunConfig) -> int:
     """Weyl-quantized classical series vs the kernel's classical term."""
     if (config.format or "json") != "json":
         raise ConfigError("weyl-compare reports are json only")
+    if config.x:
+        raise ConfigError("key 'x': weyl-compare works at the origin only; x must be 0")
     V = config.potential
     kmax = config.kmax
     series = local_toa(V, config.mu, 0, kmax)

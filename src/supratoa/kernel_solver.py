@@ -9,7 +9,9 @@ difference as
     V((u+v)/2) - V((u-v)/2) = sum_l (a_l / 2^(l-1)) sum_r C(l, 2r+1) u^(l-2r-1) v^(2r+1)
 and matching monomials gives
     A[(m, j, s)] = (1 / (2 j m)) * sum_{r, l} (a_l / 2^(l-1)) C(l, 2r+1) A[(m-l+2r, j-1-r, s-r)]
-with seed A[(1, 0, 0)] = 1/4 and all out-of-range references zero.
+with seed A[(1, 0, 0)] = 1/4 and all out-of-range references zero. The
+general solver fills layer j by pushing each nonzero entry of layer j-1-r
+through the difference terms with that r, so empty cells are never visited.
 
 Specialized solvers for the harmonic, purely quartic, and general linear
 potentials reach the same tables through independent routes and serve as
@@ -71,31 +73,39 @@ def _potential_monomials(V: Potential) -> list[tuple[int, Rational]]:
     return sorted((d, c) for d, c in V.poly.coeffs.items() if d >= 1)
 
 
+def _difference_terms(V: Potential) -> list[tuple[int, int, Rational]]:
+    """(l, r, a_l C(l, 2r+1) / 2^(l-1)) for each monomial of V((u+v)/2) - V((u-v)/2).
+
+    Term (l, r) multiplies u^(l-2r-1) v^(2r+1); the constant of V cancels.
+    """
+    return [
+        (l, r, a_l * Fraction(math.comb(l, 2 * r + 1), 2 ** (l - 1)))
+        for l, a_l in _potential_monomials(V)
+        for r in range((l - 1) // 2 + 1)
+    ]
+
+
 def solve_kernel_general(req: KernelRequest) -> GradedKernel:
     """Fill the graded coefficient table for an arbitrary polynomial potential.
 
     Works for every polynomial potential including V = 0 (free particle),
     whose exact kernel is the single seed entry A[(1, 0, 0)] = 1/4.
     """
-    pot = _potential_monomials(req.V)
-    table: dict[tuple[int, int, int], Rational] = {(1, 0, 0): Fraction(1, 4)}
+    terms = _difference_terms(req.V)
+    layers: list[dict[tuple[int, int], Rational]] = [{(1, 0): Fraction(1, 4)}]
     for j in range(1, req.Jmax + 1):
-        for m in range(1, req.Mmax + 1):
-            for s in range(0, j):
-                total = Fraction(0)
-                for r in range(0, s + 1):
-                    jp, sp = j - 1 - r, s - r
-                    for l, a_l in pot:
-                        if l < 2 * r + 1:
-                            continue
-                        mp = m - l + 2 * r
-                        if mp < 1:
-                            continue
-                        src = table.get((mp, jp, sp))
-                        if src:
-                            total += a_l * Fraction(math.comb(l, 2 * r + 1), 2 ** (l - 1)) * src
-                if total:
-                    table[(m, j, s)] = total / (2 * j * m)
+        sums: dict[tuple[int, int], Rational] = {}
+        for l, r, coeff in terms:
+            if r >= j:
+                continue
+            for (mp, sp), src in layers[j - 1 - r].items():
+                m = mp + l - 2 * r
+                if m <= req.Mmax:
+                    key = (m, sp + r)
+                    sums[key] = sums.get(key, 0) + coeff * src
+        # (j, m, s) insertion order fixes the summation order of GradedKernel.tvalue
+        layers.append({(m, s): t / (2 * j * m) for (m, s), t in sorted(sums.items()) if t})
+    table = {(m, j, s): c for j, layer in enumerate(layers) for (m, s), c in layer.items()}
     return GradedKernel(table, req.mu, (req.Mmax, req.Jmax), potential=req.V.poly)
 
 
@@ -249,12 +259,10 @@ def _residual_monomials(K: GradedKernel, V: Potential) -> dict[tuple[int, int, i
     for (m, j, s), c in K.A.items():
         if j >= 1:
             add((m - 1, 2 * j - 1, j - s - 1), -c * m * 2 * j)
-    pot = _potential_monomials(V)
+    terms = _difference_terms(V)
     for (m, j, s), c in K.A.items():
-        for l, a_l in pot:
-            for r in range(0, (l - 1) // 2 + 1):
-                val = c * a_l * Fraction(math.comb(l, 2 * r + 1), 2 ** (l - 1))
-                add((m + l - 2 * r - 1, 2 * j + 2 * r + 1, j - s), val)
+        for l, r, coeff in terms:
+            add((m + l - 2 * r - 1, 2 * j + 2 * r + 1, j - s), c * coeff)
     return res
 
 
@@ -316,27 +324,26 @@ def solve_kernel_ungraded(V: Potential, nmax: int, mmax: int) -> dict[tuple[int,
     """
     if nmax < 0 or mmax < 1:
         raise ValueError("need nmax >= 0 and mmax >= 1")
-    pot = _potential_monomials(V)
+    terms = _difference_terms(V)
     alpha: dict[tuple[int, int], dict[int, Rational]] = {(1, 0): {0: Fraction(1, 4)}}
     for n in range(1, nmax + 1):
         for m in range(1, mmax + 1):
             acc: dict[int, Rational] = {}
-            for l, a_l in pot:
-                for r in range(0, (l - 1) // 2 + 1):
-                    np_, mp = n - 2 * r - 2, m - l + 2 * r
-                    if np_ < 0 or mp < 1:
-                        continue
-                    src = alpha.get((mp, np_))
-                    if not src:
-                        continue
-                    factor = a_l * Fraction(math.comb(l, 2 * r + 1), 2 ** (l - 1) * m * n)
-                    for wpow, c in src.items():
-                        key = wpow + 1
-                        val = acc.get(key, Fraction(0)) + factor * c
-                        if val:
-                            acc[key] = val
-                        else:
-                            acc.pop(key, None)
+            for l, r, coeff in terms:
+                np_, mp = n - 2 * r - 2, m - l + 2 * r
+                if np_ < 0 or mp < 1:
+                    continue
+                src = alpha.get((mp, np_))
+                if not src:
+                    continue
+                factor = coeff / (m * n)
+                for wpow, c in src.items():
+                    key = wpow + 1
+                    val = acc.get(key, Fraction(0)) + factor * c
+                    if val:
+                        acc[key] = val
+                    else:
+                        acc.pop(key, None)
             if acc:
                 alpha[(m, n)] = acc
     return alpha

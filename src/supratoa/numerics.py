@@ -29,6 +29,8 @@ _Z_CUTOFF = -900.0
 
 _MAX_TERMS = 800
 
+_QUAD_LIMIT = 50
+
 # 9-point central second-derivative stencil, order 8, offsets -4..4.
 _FD2_COEFFS = (
     Fraction(-1, 560),
@@ -94,12 +96,9 @@ class BumpProfile:
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Adaptive-quadrature request: absolute tolerance, refinement budget,
-    and the embedded-pair rule identifier."""
+    """Adaptive-quadrature request: the absolute error tolerance."""
 
     abs_tol: float
-    max_depth: int = 50
-    rule: str = "gk21"
 
     def __post_init__(self):
         if self.abs_tol <= 0:
@@ -132,17 +131,14 @@ def hyper0f1(z: float, tol: float = 1e-15) -> float:
     raise NoConvergence(f"0F1 series did not settle within {_MAX_TERMS} terms at z = {z}")
 
 
-def _quad_real(f, lo: float, hi: float, epsabs: float, limit: int, points=None) -> tuple[float, float]:
+def _quad_real(f, lo: float, hi: float, epsabs: float, points=None) -> tuple[float, float]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if points:
-            val, err = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=0.0, limit=limit, points=points)
-        else:
-            val, err = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=0.0, limit=limit)
+        val, err = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=0.0, limit=_QUAD_LIMIT, points=points)
     return val, err
 
 
-def _quad_complex(f, lo: float, hi: float, epsabs: float, limit: int, points=None) -> tuple[complex, float]:
+def _quad_complex(f, lo: float, hi: float, epsabs: float, points=None) -> tuple[complex, float]:
     """Complex adaptive quadrature; f is evaluated once per node via a memo
     shared by the real and imaginary passes."""
     memo: dict[float, complex] = {}
@@ -154,8 +150,8 @@ def _quad_complex(f, lo: float, hi: float, epsabs: float, limit: int, points=Non
             memo[q] = val
         return val
 
-    re, re_err = _quad_real(lambda q: cached(q).real, lo, hi, epsabs, limit, points)
-    im, im_err = _quad_real(lambda q: cached(q).imag, lo, hi, epsabs, limit, points)
+    re, re_err = _quad_real(lambda q: cached(q).real, lo, hi, epsabs, points)
+    im, im_err = _quad_real(lambda q: cached(q).imag, lo, hi, epsabs, points)
     return complex(re, im), re_err + im_err
 
 
@@ -179,7 +175,7 @@ def kernel_integral_form(
     def f(q2: float) -> float:
         return hyper0f1(w * v2 * (v_top - V.value(q2)))
 
-    val, err = _quad_real(f, 0.0, s_hi, quad.abs_tol, max(quad.max_depth, 50))
+    val, err = _quad_real(f, 0.0, s_hi, quad.abs_tol)
     if err > 1e3 * max(quad.abs_tol, 1e-15):
         raise QuadratureFailure(f"integral-form error estimate {err:.3g}")
     return 0.5 * val
@@ -203,14 +199,14 @@ def _as_kernel_func(K, hbar: float):
     raise TypeError("kernel must be a GradedKernel or a callable (q, q') -> complex")
 
 
-def _apply_at(kernel_func, phi: BumpProfile, q: float, epsabs: float, limit: int) -> tuple[complex, float]:
+def _apply_at(kernel_func, phi: BumpProfile, q: float, epsabs: float) -> tuple[complex, float]:
     """(T phi)(q) = integral of <q|T|q'> phi(q') over supp(phi).
 
     The sgn discontinuity line q' = q is always a panel boundary.
     """
     lo, hi = phi.support
     pts = [q] if lo < q < hi else None
-    return _quad_complex(lambda qp: kernel_func(q, qp) * phi.value(qp), lo, hi, epsabs, limit, pts)
+    return _quad_complex(lambda qp: kernel_func(q, qp) * phi.value(qp), lo, hi, epsabs, pts)
 
 
 def apply_kernel(K, phi: BumpProfile, qgrid, hbar: float, quad: QuadSpec) -> list[complex]:
@@ -223,10 +219,9 @@ def apply_kernel(K, phi: BumpProfile, qgrid, hbar: float, quad: QuadSpec) -> lis
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     kf = _as_kernel_func(K, hbar)
-    limit = max(quad.max_depth, 50)
     out: list[complex] = []
     for q in qgrid:
-        val, err = _apply_at(kf, phi, float(q), quad.abs_tol, limit)
+        val, err = _apply_at(kf, phi, float(q), quad.abs_tol)
         if err > 1e3 * quad.abs_tol:
             raise QuadratureFailure(f"apply_kernel error estimate {err:.3g} at q = {q}")
         if not (math.isfinite(val.real) and math.isfinite(val.imag)):
@@ -266,7 +261,6 @@ def commutator_residual(
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     kf = _as_kernel_func(K, hbar)
-    limit = max(quad.max_depth, 50)
     inner_tol = max(quad.abs_tol * 1e-3, 5e-15)
     h = quad.abs_tol ** (1.0 / 6.0)
 
@@ -276,19 +270,19 @@ def commutator_residual(
         raise ZeroOverlap("test function supports do not intersect")
 
     overlap, overlap_err = _quad_complex(
-        lambda q: phi.value(q).conjugate() * psi.value(q), lo, hi, inner_tol, limit
+        lambda q: phi.value(q).conjugate() * psi.value(q), lo, hi, inner_tol
     )
     norm_phi = math.sqrt(
-        _quad_real(lambda q: abs(phi.value(q)) ** 2, *phi.support, inner_tol, limit)[0]
+        _quad_real(lambda q: abs(phi.value(q)) ** 2, *phi.support, inner_tol)[0]
     )
     norm_psi = math.sqrt(
-        _quad_real(lambda q: abs(psi.value(q)) ** 2, *psi.support, inner_tol, limit)[0]
+        _quad_real(lambda q: abs(psi.value(q)) ** 2, *psi.support, inner_tol)[0]
     )
     if abs(overlap) < 1e-12 * norm_phi * norm_psi:
         raise ZeroOverlap(f"|<phi|psi>| = {abs(overlap):.3g} is below threshold")
 
     def t_psi(q: float) -> complex:
-        return _apply_at(kf, psi, q, inner_tol, limit)[0]
+        return _apply_at(kf, psi, q, inner_tol)[0]
 
     def t_psi_dd(q: float, step: float) -> complex:
         acc = 0j
@@ -306,15 +300,15 @@ def commutator_residual(
         p_lo, p_hi = psi.support
         pts = [q] if p_lo < q < p_hi else None
         return _quad_complex(
-            lambda qp: kf(q, qp) * h_psi(qp), p_lo, p_hi, inner_tol, limit, pts
+            lambda qp: kf(q, qp) * h_psi(qp), p_lo, p_hi, inner_tol, pts
         )[0]
 
     f_lo, f_hi = phi.support
     term_a, err_a = _quad_complex(
-        lambda q: phi.value(q).conjugate() * h_t_psi(q), f_lo, f_hi, quad.abs_tol, limit
+        lambda q: phi.value(q).conjugate() * h_t_psi(q), f_lo, f_hi, quad.abs_tol
     )
     term_b, err_b = _quad_complex(
-        lambda q: phi.value(q).conjugate() * t_h_psi(q), f_lo, f_hi, quad.abs_tol, limit
+        lambda q: phi.value(q).conjugate() * t_h_psi(q), f_lo, f_hi, quad.abs_tol
     )
 
     numerator = term_a - term_b - 1j * hbar * overlap

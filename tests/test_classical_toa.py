@@ -139,6 +139,15 @@ class TestQuadrature:
         with pytest.raises(NotAccessible):
             toa_quadrature(V, PhasePoint(0.0, 1.0, x=3.0))
 
+    def test_barrier_between_scan_points_rejected(self):
+        # the barrier peak at q = 8193/16384 falls between two points of the
+        # accessibility scan; H sits 1e-3 below it, so only QUADPACK samples
+        # the forbidden zone and must report it as NotAccessible
+        V = Potential.from_pairs([(2, -(10**6)), (1, F(2 * 10**6 * 8193, 16384))])
+        p = math.sqrt(2 * (V.value(8193 / 16384) - 1e-3 - V.value(1.0)))
+        with pytest.raises(NotAccessible):
+            toa_quadrature(V, PhasePoint(1.0, p))
+
     def test_mass_scaling(self):
         light = toa_quadrature(Potential.free(), PhasePoint(1.0, 1.0, mu=1.0))
         heavy = toa_quadrature(Potential.free(), PhasePoint(1.0, 1.0, mu=4.0))

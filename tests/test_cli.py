@@ -8,11 +8,18 @@ from fractions import Fraction as F
 
 import pytest
 
+from supratoa.classical_toa import Potential
 from supratoa.cli import main
 from supratoa.kernel_solver import solve_kernel_harmonic
 from supratoa.serialize import kernel_from_dict
 
 COMMANDS = ["kernel", "classical-limit", "commutator", "weyl-compare", "grid", "toa"]
+
+# barrier peak at q = 8193/16384, between two points of the accessibility
+# scan; p puts H 1e-3 below the peak at q = 1
+BARRIER = "2:-1000000 1:128015625/128"
+_BARRIER_V = Potential.from_pairs([(2, -(10**6)), (1, F(128015625, 128))])
+BARRIER_P = math.sqrt(2 * (_BARRIER_V.value(8193 / 16384) - 1e-3 - _BARRIER_V.value(1.0)))
 
 
 def invoke(args):
@@ -91,6 +98,28 @@ class TestConfigErrors:
         code, _, err = invoke(["kernel", "--config", "/nonexistent/nowhere.conf"])
         assert code == 1
         assert err
+
+    def test_removed_series_tol_key_is_unknown(self, tmp_path):
+        path = write_config(tmp_path, "potential = free\nseries_tol = 1e-12\n")
+        code, _, err = invoke(["kernel", "--config", path])
+        assert code == 1
+        assert "series_tol" in err
+
+    @pytest.mark.parametrize("mu", ["0", "-1/2"])
+    def test_nonpositive_mass_rejected(self, tmp_path, mu):
+        path = write_config(tmp_path, f"potential = 2:1/2\nmu = {mu}\n")
+        code, out, err = invoke(["kernel", "--config", path])
+        assert code == 1
+        assert not out
+        assert "mu" in err
+
+    @pytest.mark.parametrize("cmd", ["commutator", "weyl-compare"])
+    def test_ignored_arrival_point_rejected(self, tmp_path, cmd):
+        path = write_config(tmp_path, "potential = 2:1/2\nx = 1/2\n")
+        code, out, err = invoke([cmd, "--config", path])
+        assert code == 1
+        assert not out
+        assert "x" in err
 
     def test_json_grid_rejected(self, tmp_path):
         path = write_config(tmp_path, "grid_kind = kernel\npotential = free\nformat = json\n")
@@ -224,6 +253,16 @@ class TestGridCommand:
             assert math.isfinite(toa)
             assert toa < 0  # forward motion toward a later arrival at x = 0
 
+    def test_toa_grid_row_behind_narrow_barrier_is_nan(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            f"grid_kind = toa\npotential = {BARRIER}\nqmin = 1\nqmax = 1\nnq = 1\n"
+            f"pmin = {BARRIER_P!r}\npmax = {BARRIER_P!r}\nnp = 1\n",
+        )
+        code, out, _ = invoke(["grid", "--config", path])
+        assert code == 0
+        assert math.isnan(float(out.strip().splitlines()[1].split(",")[2]))
+
 
 class TestToaCommand:
     def test_report_fields_and_consistency(self, tmp_path):
@@ -243,6 +282,13 @@ class TestToaCommand:
         path = write_config(tmp_path, "potential = 1:1\nq = 0\np = 1\nx = 3\n")
         code, _, err = invoke(["toa", "--config", path])
         assert code == 2
+        assert "verification failure" in err
+
+    def test_narrow_barrier_exits_two(self, tmp_path):
+        path = write_config(tmp_path, f"potential = {BARRIER}\nq = 1\np = {BARRIER_P!r}\n")
+        code, out, err = invoke(["toa", "--config", path])
+        assert code == 2
+        assert not out
         assert "verification failure" in err
 
     def test_divergent_point_reported_but_not_verified(self, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from supratoa.classical_toa import Potential
 from supratoa.kernel_solver import (
     KernelRequest,
+    _difference_terms,
     boundary_check,
     classical_term,
     default_mmax,
@@ -27,6 +28,10 @@ HARMONIC = Potential.from_pairs([(2, F(1, 2))])
 QUARTIC = Potential.from_pairs([(4, 1)])
 
 params = st.fractions(min_value=-2, max_value=2, max_denominator=8)
+# degree <= 6 with constant, odd and even terms; zero coefficients drop out
+potentials = st.dictionaries(st.integers(0, 6), params, max_size=7).map(
+    lambda pairs: Potential.from_pairs(pairs.items())
+)
 
 
 def general(V, mu, jmax, mmax=None):
@@ -244,3 +249,24 @@ class TestUngradedDebugRoute:
             for (m, j, s), c in K.items():
                 rebuilt.setdefault((m, 2 * j), {})[j - s] = c
             assert table == rebuilt
+
+    @given(potentials, st.integers(0, 6), st.sampled_from(["floor", "default", "above"]))
+    @settings(max_examples=40, deadline=None)
+    def test_push_solver_matches_dense_reference(self, V, jmax, cut):
+        default = default_mmax(max(V.degree, 0), jmax)
+        mmax = {"floor": 2 * jmax + 1, "default": None, "above": default + 3}[cut]
+        K = general(V, 1, jmax, mmax=mmax)
+        table = solve_kernel_ungraded(V, 2 * jmax, K.truncation[0])
+        rebuilt = {}
+        for (m, j, s), c in K.items():
+            rebuilt.setdefault((m, 2 * j), {})[j - s] = c
+        assert table == rebuilt
+
+    @given(potentials, params, params)
+    @settings(max_examples=40, deadline=None)
+    def test_difference_terms_expand_potential_difference(self, V, u, v):
+        expanded = sum(
+            (c * u ** (l - 2 * r - 1) * v ** (2 * r + 1) for l, r, c in _difference_terms(V)),
+            F(0),
+        )
+        assert expanded == V.value((u + v) / 2) - V.value((u - v) / 2)
