@@ -10,6 +10,7 @@ agree with direct quadrature of the equations of motion.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -121,6 +122,19 @@ def toa_iterate_closed(V: Potential, mu: RationalLike, k: int, x: RationalLike =
     return integral * factor
 
 
+def _liouville_iterates(V: Potential, mu: Fraction, x: Fraction):
+    """P_0, P_1, ... of the Liouville-type iteration, without end."""
+    vprime = V.poly.derivative()
+    current = QPoly({1: -mu}) + QPoly.constant(mu * x)  # seed -mu (q - x)
+    k = 0
+    while True:
+        yield current
+        k += 1
+        anti = poly_antideriv(vprime * current)
+        integral = anti - QPoly.constant(anti(x))
+        current = integral * (Fraction(2 * k - 1) * mu)
+
+
 def toa_iterate_liouville(V: Potential, mu: RationalLike, k: int, x: RationalLike = 0) -> QPoly:
     """k-th arrival-time iterate by the Liouville-type iteration.
 
@@ -131,15 +145,7 @@ def toa_iterate_liouville(V: Potential, mu: RationalLike, k: int, x: RationalLik
     """
     if k < 0:
         raise ValueError("iterate index must be >= 0")
-    mu = Fraction(mu)
-    x = Fraction(x)
-    vprime = V.poly.derivative()
-    current = QPoly({1: -mu}) + QPoly.constant(mu * x)  # seed -mu (q - x)
-    for i in range(1, k + 1):
-        anti = poly_antideriv(vprime * current)
-        integral = anti - QPoly.constant(anti(x))
-        current = integral * (Fraction(2 * i - 1) * mu)
-    return current
+    return next(itertools.islice(_liouville_iterates(V, Fraction(mu), Fraction(x)), k, None))
 
 
 def local_toa(V: Potential, mu: RationalLike, x: RationalLike, K: int) -> MomentumSeries:
@@ -151,20 +157,10 @@ def local_toa(V: Potential, mu: RationalLike, x: RationalLike, K: int) -> Moment
     """
     if K < 0:
         raise ValueError("series order must be >= 0")
-    mu = Fraction(mu)
-    x = Fraction(x)
-    vprime = V.poly.derivative()
     terms = {}
-    current = QPoly({1: -mu}) + QPoly.constant(mu * x)
-    sign = 1
-    for k in range(K + 1):
-        if k > 0:
-            anti = poly_antideriv(vprime * current)
-            integral = anti - QPoly.constant(anti(x))
-            current = integral * (Fraction(2 * k - 1) * mu)
-            sign = -sign
+    for k, current in zip(range(K + 1), _liouville_iterates(V, Fraction(mu), Fraction(x))):
         if current:
-            terms[(k, 0)] = current * sign
+            terms[(k, 0)] = current * (-1) ** k
     return MomentumSeries(terms)
 
 

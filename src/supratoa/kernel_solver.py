@@ -248,22 +248,16 @@ def _residual_monomials(K: GradedKernel, V: Potential) -> dict[tuple[int, int, i
     evaluated as -(1/w) d2T/dudv + [V((u+v)/2) - V((u-v)/2)] T.
     """
     res: dict[tuple[int, int, int], Rational] = {}
-
-    def add(key: tuple[int, int, int], val: Rational) -> None:
-        acc = res.get(key, Fraction(0)) + val
-        if acc:
-            res[key] = acc
-        else:
-            res.pop(key, None)
-
     for (m, j, s), c in K.A.items():
         if j >= 1:
-            add((m - 1, 2 * j - 1, j - s - 1), -c * m * 2 * j)
+            key = (m - 1, 2 * j - 1, j - s - 1)
+            res[key] = res.get(key, 0) - c * m * 2 * j
     terms = _difference_terms(V)
     for (m, j, s), c in K.A.items():
         for l, r, coeff in terms:
-            add((m + l - 2 * r - 1, 2 * j + 2 * r + 1, j - s), c * coeff)
-    return res
+            key = (m + l - 2 * r - 1, 2 * j + 2 * r + 1, j - s)
+            res[key] = res.get(key, 0) + c * coeff
+    return {key: val for key, val in res.items() if val}
 
 
 def pde_residual(K: GradedKernel, V: Potential) -> int | None:

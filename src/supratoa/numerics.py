@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from scipy import integrate
 
@@ -24,27 +23,14 @@ from .errors import (
 )
 from .kernel_solver import kernel_eval
 
-# Beyond this the alternating 0F1 series loses all significance in doubles.
-_Z_CUTOFF = -900.0
+# Below this the alternating 0F1 series cancels too much for doubles: against
+# mpmath the error first passes 1e-9 * max(1, |f|) near z = -93.8, is 2.6e-6 at
+# -200 and has the wrong sign at -400.
+_Z_CUTOFF = -90.0
 
 _MAX_TERMS = 800
 
 _QUAD_LIMIT = 50
-
-# 9-point central second-derivative stencil, order 8, offsets -4..4.
-_FD2_COEFFS = (
-    Fraction(-1, 560),
-    Fraction(8, 315),
-    Fraction(-1, 5),
-    Fraction(8, 5),
-    Fraction(-205, 72),
-    Fraction(8, 5),
-    Fraction(-1, 5),
-    Fraction(8, 315),
-    Fraction(-1, 560),
-)
-_FD2_ABS_SUM = float(sum(abs(c) for c in _FD2_COEFFS))
-
 
 @dataclass(frozen=True)
 class BumpProfile:
@@ -109,9 +95,9 @@ def hyper0f1(z: float, tol: float = 1e-15) -> float:
     """The confluent limit function 0F1(1; z) = sum_n z^n / (n!)^2.
 
     Summed forward with compensated (Kahan) accumulation, at least 8 terms,
-    stopping once |term| < tol * |partial sum|. Arguments below -900 are
-    rejected: the alternating sum cancels catastrophically there and doubles
-    carry no usable information.
+    stopping once |term| < tol * |partial sum|. Arguments below -90 are
+    rejected: there the alternating sum cancels so much that its error can
+    pass 1e-9 * max(1, |f|), and by -400 the doubles carry no information.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -199,14 +185,20 @@ def _as_kernel_func(K, hbar: float):
     raise TypeError("kernel must be a GradedKernel or a callable (q, q') -> complex")
 
 
-def _apply_at(kernel_func, phi: BumpProfile, q: float, epsabs: float) -> tuple[complex, float]:
-    """(T phi)(q) = integral of <q|T|q'> phi(q') over supp(phi).
+def _apply_at(kernel_func, f, support: tuple[float, float], q: float, epsabs: float) -> complex:
+    """(T f)(q) = integral of <q|T|q'> f(q') over the support of f.
 
-    The sgn discontinuity line q' = q is always a panel boundary.
+    The sgn discontinuity line q' = q is always a panel boundary. The value
+    is checked finite and its error estimate within 1e3 * epsabs.
     """
-    lo, hi = phi.support
+    lo, hi = support
     pts = [q] if lo < q < hi else None
-    return _quad_complex(lambda qp: kernel_func(q, qp) * phi.value(qp), lo, hi, epsabs, pts)
+    val, err = _quad_complex(lambda qp: kernel_func(q, qp) * f(qp), lo, hi, epsabs, pts)
+    if err > 1e3 * epsabs:
+        raise QuadratureFailure(f"kernel application error estimate {err:.3g} at q = {q}")
+    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+        raise QuadratureFailure(f"non-finite kernel application at q = {q}")
+    return val
 
 
 def apply_kernel(K, phi: BumpProfile, qgrid, hbar: float, quad: QuadSpec) -> list[complex]:
@@ -219,15 +211,7 @@ def apply_kernel(K, phi: BumpProfile, qgrid, hbar: float, quad: QuadSpec) -> lis
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     kf = _as_kernel_func(K, hbar)
-    out: list[complex] = []
-    for q in qgrid:
-        val, err = _apply_at(kf, phi, float(q), quad.abs_tol)
-        if err > 1e3 * quad.abs_tol:
-            raise QuadratureFailure(f"apply_kernel error estimate {err:.3g} at q = {q}")
-        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-            raise QuadratureFailure(f"non-finite kernel application at q = {q}")
-        out.append(val)
-    return out
+    return [_apply_at(kf, phi.value, phi.support, float(q), quad.abs_tol) for q in qgrid]
 
 
 @dataclass(frozen=True)
@@ -251,18 +235,20 @@ def commutator_residual(
     """Residual of the canonical commutation relation on a pair of bumps.
 
     r = |<phi|(HT - TH)psi> - i hbar <phi|psi>| / (hbar |<phi|psi>|), where
-    H chi = -(hbar^2/2 mu) chi'' + V chi. H psi uses the analytic bump
-    derivatives; H applied to (T psi) differentiates a dense sampling of the
-    smooth function (T psi) with an order-8 central stencil of step
-    h = abs_tol^(1/6). The error budget combines the quadrature error
-    estimates, the inner-integral noise amplified by the stencil, and a
-    step-halving probe of the differentiation truncation.
+    H chi = -(hbar^2/2 mu) chi'' + V chi. Both bumps vanish with all their
+    derivatives at the edges of their supports, so <phi|H T psi> =
+    <H phi|T psi> and H only ever acts on a bump, through its analytic second
+    derivative. The commutator is then one nested integral over
+    supp(phi) x supp(psi) of
+    <q|T|q'> [conj(H phi)(q) psi(q') - conj(phi)(q) (H psi)(q')].
+    The error budget sums the outer quadrature estimate, hbar times the
+    overlap estimate, and the inner tolerance integrated over supp(phi)
+    (each inner estimate is checked by the kernel application).
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     kf = _as_kernel_func(K, hbar)
     inner_tol = max(quad.abs_tol * 1e-3, 5e-15)
-    h = quad.abs_tol ** (1.0 / 6.0)
 
     lo = max(phi.support[0], psi.support[0])
     hi = min(phi.support[1], psi.support[1])
@@ -281,55 +267,30 @@ def commutator_residual(
     if abs(overlap) < 1e-12 * norm_phi * norm_psi:
         raise ZeroOverlap(f"|<phi|psi>| = {abs(overlap):.3g} is below threshold")
 
-    def t_psi(q: float) -> complex:
-        return _apply_at(kf, psi, q, inner_tol)[0]
+    def h(chi: BumpProfile, q: float) -> complex:
+        return -(hbar * hbar) / (2.0 * mu) * chi.deriv2(q) + V.value(q) * chi.value(q)
 
-    def t_psi_dd(q: float, step: float) -> complex:
-        acc = 0j
-        for i, c in enumerate(_FD2_COEFFS):
-            acc += float(c) * t_psi(q + (i - 4) * step)
-        return acc / (step * step)
+    def commutator_at(q: float) -> complex:
+        h_phi, phi_q = h(phi, q).conjugate(), phi.value(q).conjugate()
+        return _apply_at(
+            kf, lambda qp: h_phi * psi.value(qp) - phi_q * h(psi, qp), psi.support, q, inner_tol
+        )
 
-    def h_t_psi(q: float) -> complex:
-        return -(hbar * hbar) / (2.0 * mu) * t_psi_dd(q, h) + V.value(q) * t_psi(q)
+    commutator, err = _quad_complex(commutator_at, *phi.support, quad.abs_tol)
 
-    def h_psi(qp: float) -> complex:
-        return -(hbar * hbar) / (2.0 * mu) * psi.deriv2(qp) + V.value(qp) * psi.value(qp)
-
-    def t_h_psi(q: float) -> complex:
-        p_lo, p_hi = psi.support
-        pts = [q] if p_lo < q < p_hi else None
-        return _quad_complex(
-            lambda qp: kf(q, qp) * h_psi(qp), p_lo, p_hi, inner_tol, pts
-        )[0]
-
-    f_lo, f_hi = phi.support
-    term_a, err_a = _quad_complex(
-        lambda q: phi.value(q).conjugate() * h_t_psi(q), f_lo, f_hi, quad.abs_tol
-    )
-    term_b, err_b = _quad_complex(
-        lambda q: phi.value(q).conjugate() * t_h_psi(q), f_lo, f_hi, quad.abs_tol
-    )
-
-    numerator = term_a - term_b - 1j * hbar * overlap
+    numerator = commutator - 1j * hbar * overlap
     denom = hbar * abs(overlap)
     residual = abs(numerator) / denom
 
-    # Error budget: outer quadrature estimates, inner noise amplified through
-    # the stencil, and a step-halving probe of the differentiation error.
-    phi_l1 = 2.0 * phi.halfwidth * abs(phi.amplitude) * math.exp(-1.0)
-    stencil_amp = _FD2_ABS_SUM / (h * h)
-    inner_noise = phi_l1 * inner_tol * ((hbar * hbar) / (2.0 * mu) * stencil_amp + 2.0)
-    probes = [phi.center, phi.center + 0.37 * phi.halfwidth, phi.center - 0.53 * phi.halfwidth]
-    fd_probe = max(abs(t_psi_dd(p, h) - t_psi_dd(p, h / 2.0)) for p in probes)
-    fd_err = phi_l1 * (hbar * hbar) / (2.0 * mu) * fd_probe
-    budget = (err_a + err_b + hbar * overlap_err + inner_noise + fd_err) / denom
+    # QUADPACK stops each inner integral once its real and its imaginary part
+    # are within inner_tol; _apply_at refuses an estimate above 1e3 * inner_tol.
+    inner_noise = 2.0 * (2.0 * phi.halfwidth) * inner_tol
+    budget = (err + hbar * overlap_err + inner_noise) / denom
 
     params = {
         "mu": mu,
         "hbar": hbar,
         "abs_tol": quad.abs_tol,
-        "fd_step": h,
         "potential": sorted((d, str(c)) for d, c in V.poly.coeffs.items()),
         "phi": {"center": phi.center, "halfwidth": phi.halfwidth},
         "psi": {"center": psi.center, "halfwidth": psi.halfwidth},
