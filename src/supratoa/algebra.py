@@ -1,9 +1,10 @@
 """Exact arithmetic substrate: rationals, q-polynomials, and graded series tables.
 
-Everything in this module is exact. Floating point enters the package only in
-the numerics layer; all recurrence and transform work happens on Rational
-values so that equality tests between independently computed tables are
-meaningful.
+Everything stored in this module is exact; all recurrence and transform work
+happens on Rational values so that equality tests between independently
+computed tables are meaningful. The one float path is the evaluation of a
+polynomial or a kernel table at a point or on a node array, which reads a
+tuple of float terms converted once per object.
 """
 
 from __future__ import annotations
@@ -11,12 +12,24 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 # Arbitrary-precision rational scalar. fractions.Fraction already guarantees
 # lowest terms, positive denominator, exact arithmetic, and errors on
 # division by zero, which is the full contract needed here.
 Rational = Fraction
 
 RationalLike = Rational | int | str
+
+
+def _power_fn(x):
+    """x -> x**d with libm's pow, elementwise on arrays.
+
+    np.power may take a SIMD route whose last bit differs from pow();
+    np.float_power calls pow() per element, so an array evaluation equals
+    the scalar evaluations element by element.
+    """
+    return np.float_power if isinstance(x, np.ndarray) else pow
 
 
 def parse_rational(text: str) -> Rational:
@@ -41,7 +54,7 @@ class QPoly:
     modified after construction.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_float_terms")
 
     def __init__(self, coeffs: Mapping[int, RationalLike] | Iterable[tuple[int, RationalLike]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -58,6 +71,7 @@ class QPoly:
                 else:
                     table.pop(deg, None)
         self.coeffs = table
+        self._float_terms: tuple[tuple[int, float], ...] | None = None
 
     @classmethod
     def zero(cls) -> "QPoly":
@@ -145,10 +159,22 @@ class QPoly:
         return QPoly({d - 1: d * c for d, c in self.coeffs.items() if d >= 1})
 
     def __call__(self, x):
-        """Evaluate at x; exact for Fraction/int arguments, float otherwise."""
-        total = Fraction(0) if isinstance(x, (Fraction, int)) else 0.0
-        for d, c in self.coeffs.items():
-            total += c * x**d if isinstance(x, (Fraction, int)) else float(c) * x**d
+        """Evaluate at x: exact for Fraction/int arguments, float otherwise.
+
+        A float or a numpy array x reads the (degree, float coefficient)
+        terms, converted on the first float evaluation.
+        """
+        if isinstance(x, (Fraction, int)):
+            total = Fraction(0)
+            for d, c in self.coeffs.items():
+                total += c * x**d
+            return total
+        if self._float_terms is None:
+            self._float_terms = tuple((d, float(c)) for d, c in self.coeffs.items())
+        power = _power_fn(x)
+        total = 0.0
+        for d, c in self._float_terms:
+            total += c * power(x, d)
         return total
 
     def __repr__(self) -> str:
@@ -287,7 +313,7 @@ class GradedKernel:
     modified copies.
     """
 
-    __slots__ = ("A", "mu", "truncation", "potential")
+    __slots__ = ("A", "mu", "truncation", "potential", "_float_form")
 
     def __init__(
         self,
@@ -310,6 +336,8 @@ class GradedKernel:
         mmax, jmax = truncation
         self.truncation = (int(mmax), int(jmax))
         self.potential = potential
+        # (terms, w exponents, u exponents, v exponents), built by tvalue
+        self._float_form: tuple | None = None
 
     def entry(self, m: int, j: int, s: int) -> Rational:
         return self.A.get((m, j, s), Fraction(0))
@@ -334,12 +362,30 @@ class GradedKernel:
             table.pop((m, j, s), None)
         return GradedKernel(table, self.mu, self.truncation, self.potential)
 
-    def tvalue(self, u: float, v: float, hbar: float) -> float:
-        """Float value of the truncated T(u, v)."""
+    def tvalue(self, u, v, hbar: float):
+        """Float value of the truncated T(u, v), at a point or on node arrays.
+
+        Reads the (float(A), j - s, m, 2j) terms, converted on the first
+        float evaluation, in table order. Each distinct power of w, u and v
+        is computed once per call.
+        """
+        if self._float_form is None:
+            terms = tuple((float(c), j - s, m, 2 * j) for (m, j, s), c in self.A.items())
+            self._float_form = (
+                terms,
+                {k for _, k, _, _ in terms},
+                {m for _, _, m, _ in terms},
+                {n for _, _, _, n in terms},
+            )
+        terms, ks, ms, ns = self._float_form
         w = float(self.mu) / (2.0 * hbar * hbar)
+        power = _power_fn(u)
+        wk = {k: w**k for k in ks}
+        um = {m: power(u, m) for m in ms}
+        vn = {n: power(v, n) for n in ns}
         total = 0.0
-        for (m, j, s), c in self.A.items():
-            total += float(c) * w ** (j - s) * u**m * v ** (2 * j)
+        for c, k, m, n in terms:
+            total += c * wk[k] * um[m] * vn[n]
         return total
 
     def __eq__(self, other: object) -> bool:

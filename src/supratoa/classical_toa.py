@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy import integrate
-
 from .algebra import MomentumSeries, QPoly, Rational, RationalLike, poly_antideriv, poly_shift
 from .errors import NotAccessible, QuadratureFailure, ZeroMomentum
 
@@ -197,6 +195,8 @@ def toa_quadrature(V: Potential, pt: PhasePoint, tol: float = 1e-10) -> float:
         if kinetic <= 0:
             raise NotAccessible(f"H - V <= 0 at q' = {qp:.6g}")
         return 1.0 / math.sqrt(kinetic)
+
+    from scipy import integrate  # slow to import; commands without quadrature skip it
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import GradedKernel, QPoly, Rational, RationalLike
 from .classical_toa import Potential
 
@@ -226,14 +228,18 @@ def classical_term(V: Potential, mu: RationalLike, Jmax: int) -> dict[tuple[int,
     }
 
 
-def kernel_eval(K: GradedKernel, q: float, qp: float, hbar: float) -> complex:
+def kernel_eval(K: GradedKernel, q: float, qp, hbar: float):
     """Truncated value of the full kernel <q|T|q'> = (mu/i hbar) T(q,q') sgn(q-q').
 
     Purely imaginary whenever T is real (it is); zero on the diagonal by the
-    sgn(0) = 0 convention.
+    sgn(0) = 0 convention. q' may be a numpy node array; the complex array
+    returned then equals the scalar calls element by element.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
+    if isinstance(qp, np.ndarray):
+        t = K.tvalue(q + qp, q - qp, hbar)
+        return (float(K.mu) / (1j * hbar)) * t * np.sign(q - qp)
     sg = _sgn(q - qp)
     if sg == 0.0:
         return 0j

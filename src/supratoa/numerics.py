@@ -7,11 +7,13 @@ agreement between the two layers is what several verification paths check.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
-from scipy import integrate
+import numpy as np
 
 from .algebra import GradedKernel, Rational
 from .classical_toa import Potential
@@ -32,6 +34,16 @@ _MAX_TERMS = 800
 
 _QUAD_LIMIT = 50
 
+# Inner rule: Gauss-Legendre levels pair n with 2n nodes per panel, from
+# (_GL_FIRST, 2 * _GL_FIRST) up to a 2n of _GL_CAP.
+_GL_FIRST = 64
+_GL_CAP = 512
+
+# QUADPACK's roundoff floor on an error estimate: 50 machine epsilons times
+# the integral of |integrand|.
+_ROUNDOFF = 50.0 * sys.float_info.epsilon
+
+
 @dataclass(frozen=True)
 class BumpProfile:
     """Smooth compactly supported test function with closed-form derivatives.
@@ -39,6 +51,7 @@ class BumpProfile:
     phi(q) = amplitude * exp(-1/(1-u^2)) for u = (q-center)/halfwidth inside
     |u| < 1, and 0 outside. The first two derivatives are analytic, not
     finite differences; the commutator test's sensitivity demands that.
+    Each takes a float or a numpy array of points.
     """
 
     center: float
@@ -53,29 +66,23 @@ class BumpProfile:
     def support(self) -> tuple[float, float]:
         return (self.center - self.halfwidth, self.center + self.halfwidth)
 
-    def _u(self, q: float) -> float:
-        return (q - self.center) / self.halfwidth
+    def _parts(self, q):
+        """u, 1 - u^2 (1 outside the support) and exp(-1/(1-u^2)) (0 outside)."""
+        u = (np.asarray(q, dtype=float) - self.center) / self.halfwidth
+        inside = np.abs(u) < 1.0
+        one = np.where(inside, 1.0 - u * u, 1.0)
+        return u, one, np.where(inside, np.exp(-1.0 / one), 0.0)
 
-    def value(self, q: float) -> complex:
-        u = self._u(q)
-        if abs(u) >= 1.0:
-            return 0j
-        return self.amplitude * math.exp(-1.0 / (1.0 - u * u))
+    def value(self, q):
+        _, _, g = self._parts(q)
+        return self.amplitude * g
 
-    def deriv1(self, q: float) -> complex:
-        u = self._u(q)
-        if abs(u) >= 1.0:
-            return 0j
-        g = math.exp(-1.0 / (1.0 - u * u))
-        one = 1.0 - u * u
+    def deriv1(self, q):
+        u, one, g = self._parts(q)
         return self.amplitude * g * (-2.0 * u / one**2) / self.halfwidth
 
-    def deriv2(self, q: float) -> complex:
-        u = self._u(q)
-        if abs(u) >= 1.0:
-            return 0j
-        g = math.exp(-1.0 / (1.0 - u * u))
-        one = 1.0 - u * u
+    def deriv2(self, q):
+        u, one, g = self._parts(q)
         inner = 4.0 * u * u / one**4 - 2.0 / one**2 - 8.0 * u * u / one**3
         return self.amplitude * g * inner / self.halfwidth**2
 
@@ -118,6 +125,8 @@ def hyper0f1(z: float, tol: float = 1e-15) -> float:
 
 
 def _quad_real(f, lo: float, hi: float, epsabs: float, points=None) -> tuple[float, float]:
+    from scipy import integrate  # slow to import; commands without quadrature skip it
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         val, err = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=0.0, limit=_QUAD_LIMIT, points=points)
@@ -170,11 +179,15 @@ def kernel_integral_form(
 def classical_term_value(
     cterm: dict[tuple[int, int], Rational], mu: float, hbar: float, q: float, qp: float
 ) -> float:
-    """Float evaluation of a classical-slice table at a point (T-factor only)."""
-    u = q + qp
-    v = q - qp
-    w = float(mu) / (2.0 * hbar * hbar)
-    return sum(float(c) * w**j * u**m * v ** (2 * j) for (m, j), c in cterm.items())
+    """Float evaluation of a classical-slice table at a point (T-factor only).
+
+    The (m, j) entries are the s = 0 grade of a kernel table, evaluated by
+    GradedKernel.tvalue.
+    """
+    table = {(m, j, 0): c for (m, j), c in cterm.items()}
+    mmax = max((m for m, _ in cterm), default=1)
+    jmax = max((j for _, j in cterm), default=0)
+    return GradedKernel(table, mu, (mmax, jmax)).tvalue(q + qp, q - qp, hbar)
 
 
 def _as_kernel_func(K, hbar: float):
@@ -185,33 +198,67 @@ def _as_kernel_func(K, hbar: float):
     raise TypeError("kernel must be a GradedKernel or a callable (q, q') -> complex")
 
 
-def _apply_at(kernel_func, f, support: tuple[float, float], q: float, epsabs: float) -> complex:
-    """(T f)(q) = integral of <q|T|q'> f(q') over the support of f.
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # banded Golub-Welsch; numpy's leggauss holds a dense n x n matrix
+    from scipy.special import roots_legendre
 
-    The sgn discontinuity line q' = q is always a panel boundary. The value
-    is checked finite and its error estimate within 1e3 * epsabs.
+    nodes, weights = roots_legendre(n)
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every caller
+    return nodes, weights
+
+
+def _apply_at(kernel_func, f, support: tuple[float, float], q: float, epsabs: float) -> tuple[complex, float]:
+    """(T f)(q) = integral of <q|T|q'> f(q') over the support of f, and its error estimate.
+
+    Gauss-Legendre on the panels [lo, q] and [q, hi] of the support (one
+    panel when q is outside it), so the sgn jump at q' = q is a panel end.
+    The kernel and f are each called once per node array. Each level sums
+    n and 2n nodes per panel; the estimate is the sum over panels of
+    |I_2n - I_n| plus a roundoff floor of 50 eps * integral |integrand|,
+    and n doubles until the estimate is within epsabs or 2n reaches
+    _GL_CAP. The 2n sum is returned; a non-finite value, or an estimate
+    above 1e3 * epsabs, raises QuadratureFailure.
     """
     lo, hi = support
-    pts = [q] if lo < q < hi else None
-    val, err = _quad_complex(lambda qp: kernel_func(q, qp) * f(qp), lo, hi, epsabs, pts)
+    ends = np.array([lo, q, hi] if lo < q < hi else [lo, hi], dtype=float)
+    mid = 0.5 * (ends[1:] + ends[:-1])[:, None]
+    half = 0.5 * (ends[1:] - ends[:-1])[:, None]
+
+    def panel_sums(n: int) -> tuple[np.ndarray, float]:
+        t, w = _gauss_legendre(n)
+        x = (mid + half * t).ravel()
+        wg = (half * w).ravel() * kernel_func(q, x) * f(x)
+        return wg.reshape(-1, n).sum(axis=1), float(np.abs(wg).sum())
+
+    n = _GL_FIRST
+    coarse, _ = panel_sums(n)
+    while True:
+        fine, mass = panel_sums(2 * n)
+        val = complex(fine.sum())
+        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+            raise QuadratureFailure(f"non-finite kernel application at q = {q}")
+        err = float(np.abs(fine - coarse).sum()) + _ROUNDOFF * mass
+        if err <= epsabs or 2 * n >= _GL_CAP:
+            break
+        coarse, n = fine, 2 * n
     if err > 1e3 * epsabs:
         raise QuadratureFailure(f"kernel application error estimate {err:.3g} at q = {q}")
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-        raise QuadratureFailure(f"non-finite kernel application at q = {q}")
-    return val
+    return val, err
 
 
 def apply_kernel(K, phi: BumpProfile, qgrid, hbar: float, quad: QuadSpec) -> list[complex]:
     """Sample (T phi)(q) = integral <q|T|q'> phi(q') dq' on a grid of points.
 
-    K may be a GradedKernel or any callable kernel (q, q') -> complex. Every
-    returned value is checked finite; the integral of a bounded kernel
-    against a bump must be.
+    K may be a GradedKernel or a callable kernel (q, q') that takes a float
+    q and an array of q' nodes and returns their values (a constant
+    broadcasts). Every returned value is checked finite; the integral of a
+    bounded kernel against a bump must be.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     kf = _as_kernel_func(K, hbar)
-    return [_apply_at(kf, phi.value, phi.support, float(q), quad.abs_tol) for q in qgrid]
+    return [_apply_at(kf, phi.value, phi.support, float(q), quad.abs_tol)[0] for q in qgrid]
 
 
 @dataclass(frozen=True)
@@ -241,9 +288,10 @@ def commutator_residual(
     derivative. The commutator is then one nested integral over
     supp(phi) x supp(psi) of
     <q|T|q'> [conj(H phi)(q) psi(q') - conj(phi)(q) (H psi)(q')].
-    The error budget sums the outer quadrature estimate, hbar times the
-    overlap estimate, and the inner tolerance integrated over supp(phi)
-    (each inner estimate is checked by the kernel application).
+    The inner integral over q' is the array rule of _apply_at; the outer
+    integral, the overlap and the norms are QUADPACK's. The error budget sums
+    the outer quadrature estimate, hbar times the overlap estimate, and the
+    largest inner estimate integrated over supp(phi).
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
@@ -270,11 +318,16 @@ def commutator_residual(
     def h(chi: BumpProfile, q: float) -> complex:
         return -(hbar * hbar) / (2.0 * mu) * chi.deriv2(q) + V.value(q) * chi.value(q)
 
+    inner_err = 0.0
+
     def commutator_at(q: float) -> complex:
+        nonlocal inner_err
         h_phi, phi_q = h(phi, q).conjugate(), phi.value(q).conjugate()
-        return _apply_at(
+        val, est = _apply_at(
             kf, lambda qp: h_phi * psi.value(qp) - phi_q * h(psi, qp), psi.support, q, inner_tol
         )
+        inner_err = max(inner_err, est)
+        return val
 
     commutator, err = _quad_complex(commutator_at, *phi.support, quad.abs_tol)
 
@@ -282,9 +335,10 @@ def commutator_residual(
     denom = hbar * abs(overlap)
     residual = abs(numerator) / denom
 
-    # QUADPACK stops each inner integral once its real and its imaginary part
-    # are within inner_tol; _apply_at refuses an estimate above 1e3 * inner_tol.
-    inner_noise = 2.0 * (2.0 * phi.halfwidth) * inner_tol
+    # Each inner estimate bounds |error| of the complex value, and _apply_at
+    # accepts up to 1e3 * inner_tol, so the budget takes the largest estimate
+    # it returned, not the tolerance, over the length of supp(phi).
+    inner_noise = (2.0 * phi.halfwidth) * inner_err
     budget = (err + hbar * overlap_err + inner_noise) / denom
 
     params = {

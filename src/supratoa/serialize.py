@@ -8,9 +8,12 @@ pairs with integer degrees.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 from .algebra import GradedKernel, MomentumSeries, QPoly, format_rational, parse_rational
-from .numerics import CommutatorReport
+
+if TYPE_CHECKING:
+    from .numerics import CommutatorReport
 
 
 def poly_to_pairs(p: QPoly) -> list[list]:

@@ -9,38 +9,11 @@ rational; the powers of i cancel pairwise so every output coefficient is real.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import GradedKernel, MomentumSeries, QPoly, Rational, RationalLike
 from .errors import GradeError
-
-
-class TransformOrigin(enum.Enum):
-    """Which direction of the transform pair a phase-space series came from."""
-
-    FROM_KERNEL = "from_kernel"
-    FROM_WEYL = "from_weyl"
-
-
-@dataclass(frozen=True)
-class TransformTable:
-    """Phase-space series tagged with the direction that produced it.
-
-    The term map sends a kernel entry at v-power 2j to the series term at
-    p-index k = j, so for a FROM_KERNEL table every (k, s) key traces back
-    to kernel entries with j = k and the same grade. FROM_WEYL marks series
-    assembled on the classical side as input for weyl_quantize.
-    """
-
-    series: MomentumSeries
-    origin: TransformOrigin
-
-    @classmethod
-    def from_kernel(cls, K: GradedKernel) -> "TransformTable":
-        return cls(wigner_transform(K), TransformOrigin.FROM_KERNEL)
 
 
 def wigner_transform(K: GradedKernel) -> MomentumSeries:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from supratoa.algebra import (
     poly_defint,
     poly_shift,
 )
+from supratoa.classical_toa import Potential
+from supratoa.kernel_solver import KernelRequest, solve_kernel_general
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 polys = st.builds(
@@ -134,6 +137,28 @@ class TestGradedKernel:
         K2 = K.replace_entry(1, 0, 0, F(1, 2))
         assert K.entry(1, 0, 0) == F(1, 4)
         assert K2.entry(1, 0, 0) == F(1, 2)
+
+    def test_replace_entry_is_seen_by_float_evaluation(self):
+        K = GradedKernel({(1, 0, 0): F(1, 4)}, 1, (3, 1))
+        assert K.tvalue(0.8, 0.3, 1.0) == pytest.approx(0.2)
+        K2 = K.replace_entry(3, 1, 0, F(1, 6))
+        assert K2.tvalue(0.8, 0.3, 1.0) == pytest.approx(0.2 + 0.5 * 0.8**3 * 0.3**2 / 6)
+        assert K.tvalue(0.8, 0.3, 1.0) == pytest.approx(0.2)
+
+    def test_array_evaluation_equals_scalar_calls(self):
+        # the ladder sextic at J = 20: 4431 entries, denominators of hundreds
+        # of bits, powers up to u^121 and v^40
+        V = Potential.from_pairs([(2, F(1, 2)), (3, F(1, 3)), (6, F(1, 7))])
+        K = solve_kernel_general(KernelRequest(V, 1, 20))
+        rng = np.random.default_rng(5)
+        q, qp = rng.uniform(-1.0, 1.0, 64), rng.uniform(-1.0, 1.0, 64)
+        u, v = q + qp, q - qp
+        for hbar in (1.0, 0.7):
+            values = K.tvalue(u, v, hbar)
+            assert values.tolist() == [K.tvalue(a, b, hbar) for a, b in zip(u.tolist(), v.tolist())]
+        poly = QPoly({m: c for (m, j, s), c in K.A.items() if (j, s) == (10, 0)})
+        for p in (V.poly, poly):
+            assert p(u).tolist() == [p(a) for a in u.tolist()]
 
     def test_tvalue_free_kernel(self):
         K = GradedKernel({(1, 0, 0): F(1, 4)}, 1, (1, 0))

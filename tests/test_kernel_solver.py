@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,6 +181,13 @@ class TestKernelEval:
             val = kernel_eval(K, q, qp, 1.0)
             swapped = kernel_eval(K, qp, q, 1.0)
             assert val == pytest.approx(swapped.conjugate(), rel=1e-14)
+
+    def test_node_array_equals_scalar_calls(self):
+        K = general(QUARTIC, F(3, 2), 8)
+        qp = np.array([-0.7, -0.2, 0.3, 0.31, 0.9])
+        values = kernel_eval(K, 0.3, qp, 0.8)
+        assert values.tolist() == [kernel_eval(K, 0.3, x, 0.8) for x in qp.tolist()]
+        assert values[2] == 0
 
     def test_hbar_must_be_positive(self):
         K = general(Potential.free(), 1, 0)

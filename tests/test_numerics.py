@@ -18,6 +18,7 @@ from supratoa.errors import (
 from supratoa.kernel_solver import (
     KernelRequest,
     classical_term,
+    kernel_eval,
     solve_kernel_general,
     solve_kernel_harmonic,
 )
@@ -33,6 +34,7 @@ from supratoa.numerics import (
 )
 
 HARMONIC = Potential.from_pairs([(2, F(1, 2))])
+QUARTIC = Potential.from_pairs([(4, 1)])
 FREE_KERNEL = solve_kernel_general(KernelRequest(Potential.free(), 1, 0))
 
 
@@ -77,6 +79,12 @@ class TestBumpProfile:
         fd2 = (phi.deriv1(q + h) - phi.deriv1(q - h)) / (2 * h)
         assert phi.deriv1(q) == pytest.approx(fd1, rel=1e-7, abs=1e-10)
         assert phi.deriv2(q) == pytest.approx(fd2, rel=1e-7, abs=1e-10)
+
+    def test_array_evaluation_equals_scalar_calls(self):
+        phi = BumpProfile(0.2, 0.6, amplitude=1 - 2j)
+        qs = np.linspace(-0.5, 0.9, 29)
+        for method in (phi.value, phi.deriv1, phi.deriv2):
+            assert method(qs).tolist() == [complex(method(q)) for q in qs.tolist()]
 
     def test_halfwidth_scaling(self):
         wide = BumpProfile(0.0, 2.0)
@@ -169,6 +177,26 @@ class TestApplyKernel:
         out = apply_kernel(lambda q, qp: 0j, phi, [-0.2, 0.0, 0.3], 1.0, QuadSpec(1e-10))
         assert out == [0j, 0j, 0j]
 
+    @pytest.mark.parametrize("V", [HARMONIC, QUARTIC], ids=["harmonic", "quartic"])
+    @pytest.mark.parametrize("q", [0.13, 0.5, -0.5, 0.8], ids=["inside", "edge", "edge-", "outside"])
+    def test_array_rule_matches_quadpack(self, V, q):
+        K = solve_kernel_general(KernelRequest(V, 1, 8))
+        phi = BumpProfile(0.0, 0.5)
+        lo, hi = phi.support
+        got = apply_kernel(K, phi, [q], 1.0, QuadSpec(1e-13))[0]
+        # <q|T|q'> is imaginary and phi real, so the integrand is imaginary
+        oracle = integrate.quad(
+            lambda qp: (kernel_eval(K, q, qp, 1.0) * phi.value(qp)).imag,
+            lo,
+            hi,
+            points=[q] if lo < q < hi else None,
+            epsabs=1e-14,
+            epsrel=0.0,
+            limit=200,
+        )[0]
+        assert abs(oracle) > 1e-3
+        assert abs(got - 1j * oracle) <= 1e-12
+
     def test_rejects_non_kernel(self):
         with pytest.raises(TypeError):
             apply_kernel(42, BumpProfile(0.0, 0.5), [0.0], 1.0, QuadSpec(1e-10))
@@ -250,6 +278,20 @@ class TestCommutator:
         assert math.isfinite(report.error_budget)
         assert report.residual < 1e-9
         assert report.error_budget < 1e-6
+
+    def test_quartic_kernel_closes_relation(self):
+        K = solve_kernel_general(KernelRequest(QUARTIC, 1, 8))
+        report = commutator_residual(QUARTIC, K, self.PHI, self.PSI, 1.0, 1.0, QuadSpec(1e-8))
+        assert report.residual < 1e-9
+        assert report.residual <= report.error_budget
+
+    def test_slightly_wrong_potential_exceeds_budget(self):
+        # the harmonic table against H with V scaled by 1001/1000: the
+        # mismatch (about 1.7e-6) must stand out of the budget (about 8e-8)
+        K = solve_kernel_harmonic(1, 10)
+        V = Potential.from_pairs([(2, F(1001, 2000))])
+        report = commutator_residual(V, K, self.PHI, self.PSI, 1.0, 1.0, QuadSpec(1e-8))
+        assert report.residual > report.error_budget
 
     def test_corrupted_seed_is_flagged(self):
         K = solve_kernel_harmonic(1, 10).replace_entry(1, 0, 0, F(1, 2))

@@ -1,6 +1,5 @@
 """Phase-space transform pair: kernel table <-> momentum series."""
 
-import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -20,8 +19,6 @@ from supratoa.kernel_solver import (
     solve_kernel_linear,
 )
 from supratoa.transforms import (
-    TransformOrigin,
-    TransformTable,
     classical_limit,
     hbar2_residual,
     weyl_quantize,
@@ -177,6 +174,13 @@ class TestStructuralProperties:
             for c in poly.coeffs.values():
                 assert isinstance(c, F)
 
+    def test_series_terms_trace_back_to_kernel_rows(self):
+        # every series key (k, s) must name kernel entries with j = k at
+        # the same grade; no other provenance is possible
+        V = Potential.from_pairs([(4, F(1, 2))])
+        K = solve_kernel_general(KernelRequest(V, 1, 6))
+        assert set(wigner_transform(K).terms) <= {(j, s) for (_, j, s) in K.A}
+
     def test_classical_table_and_series_connect(self):
         # classical_term rows, pushed through the transform normalization,
         # are exactly the local arrival series coefficients
@@ -186,24 +190,3 @@ class TestStructuralProperties:
         for (m, j), c in table.items():
             coeff = -2 * F(2) ** (m - j) * (-1) ** j * math.factorial(2 * j) * c
             assert series.term(j, 0).coeff(m) == coeff
-
-
-class TestTransformTable:
-    def test_from_kernel_tags_and_matches_transform(self):
-        K = solve_kernel_harmonic(1, 5)
-        table = TransformTable.from_kernel(K)
-        assert table.origin is TransformOrigin.FROM_KERNEL
-        assert table.series == wigner_transform(K)
-
-    def test_terms_trace_back_to_matching_kernel_rows(self):
-        # every series key (k, s) must name kernel entries with j = k at
-        # the same grade; no other provenance is possible
-        V = Potential.from_pairs([(4, F(1, 2))])
-        K = solve_kernel_general(KernelRequest(V, 1, 6))
-        table = TransformTable.from_kernel(K)
-        assert set(table.series.terms) <= {(j, s) for (_, j, s) in K.A}
-
-    def test_table_is_immutable(self):
-        table = TransformTable(MomentumSeries({}), TransformOrigin.FROM_WEYL)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            table.origin = TransformOrigin.FROM_KERNEL
