@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -92,22 +93,35 @@ def solve_kernel_general(req: KernelRequest) -> GradedKernel:
 
     Works for every polynomial potential including V = 0 (free particle),
     whose exact kernel is the single seed entry A[(1, 0, 0)] = 1/4.
+
+    Layer j is pushed on integers: each layer is held as integer numerators
+    over one common denominator D_j (the lcm of its reduced denominators),
+    difference term p/q reads layer j-1-r scaled to E = lcm(D_{j-1-r} q) over
+    the active terms, and each entry is reduced once, as a Fraction of its
+    integer sum over 2 j m E. Only the layers a later layer still reads are
+    kept in numerator form.
     """
-    terms = _difference_terms(req.V)
-    layers: list[dict[tuple[int, int], Rational]] = [{(1, 0): Fraction(1, 4)}]
+    terms = [(l, r, c.numerator, c.denominator) for l, r, c in _difference_terms(req.V)]
+    depth = max((r for _, r, _, _ in terms), default=0) + 1
+    layers: list[tuple[dict[tuple[int, int], int], int]] = [({(1, 0): 1}, 4)]
+    table: dict[tuple[int, int, int], Rational] = {(1, 0, 0): Fraction(1, 4)}
     for j in range(1, req.Jmax + 1):
-        sums: dict[tuple[int, int], Rational] = {}
-        for l, r, coeff in terms:
-            if r >= j:
-                continue
-            for (mp, sp), src in layers[j - 1 - r].items():
+        active = [(l, r, p, q, layers[-1 - r]) for l, r, p, q in terms if r < j]
+        E = math.lcm(*(D * q for _, _, _, q, (_, D) in active))
+        sums: dict[tuple[int, int], int] = {}
+        for l, r, p, q, (nums, D) in active:
+            scale = p * (E // (D * q))
+            for (mp, sp), n in nums.items():
                 m = mp + l - 2 * r
                 if m <= req.Mmax:
                     key = (m, sp + r)
-                    sums[key] = sums.get(key, 0) + coeff * src
+                    sums[key] = sums.get(key, 0) + scale * n
         # (j, m, s) insertion order fixes the summation order of GradedKernel.tvalue
-        layers.append({(m, s): t / (2 * j * m) for (m, s), t in sorted(sums.items()) if t})
-    table = {(m, j, s): c for j, layer in enumerate(layers) for (m, s), c in layer.items()}
+        layer = {(m, s): Fraction(t, 2 * j * m * E) for (m, s), t in sorted(sums.items()) if t}
+        D = math.lcm(*(c.denominator for c in layer.values()))
+        layers.append(({key: c.numerator * (D // c.denominator) for key, c in layer.items()}, D))
+        del layers[:-depth]
+        table.update(((m, j, s), c) for (m, s), c in layer.items())
     return GradedKernel(table, req.mu, (req.Mmax, req.Jmax), potential=req.V.poly)
 
 
@@ -247,23 +261,43 @@ def kernel_eval(K: GradedKernel, q: float, qp, hbar: float):
     return (float(K.mu) / (1j * hbar)) * t * sg
 
 
-def _residual_monomials(K: GradedKernel, V: Potential) -> dict[tuple[int, int, int], Rational]:
-    """Exact monomials of the PDE residual of the truncated table.
+def _residual_monomials(K: GradedKernel, V: Potential) -> Iterator[tuple[int, dict[tuple[int, int, int], Rational]]]:
+    """Exact monomials of the PDE residual of the truncated table, by total degree.
 
-    Keys are (u-power, v-power, w-power) with w = mu/2 hbar^2; the PDE is
-    evaluated as -(1/w) d2T/dudv + [V((u+v)/2) - V((u-v)/2)] T.
+    Yields (d, monomials) in ascending total (u, v) degree d, for each d whose
+    monomials do not all cancel. Keys are (u-power, v-power, w-power) with
+    w = mu/2 hbar^2; the PDE is evaluated as
+    -(1/w) d2T/dudv + [V((u+v)/2) - V((u-v)/2)] T. Entry (m, j, s) has
+    t = m + 2j: its derivative term lands at degree t - 2 and its term
+    through difference term (l, r) at degree t + l, so degree d reads only
+    the entries with t = d + 2 or t = d - l.
     """
-    res: dict[tuple[int, int, int], Rational] = {}
+    by_t: dict[int, list[tuple[int, int, int, int, int]]] = {}
     for (m, j, s), c in K.A.items():
-        if j >= 1:
-            key = (m - 1, 2 * j - 1, j - s - 1)
-            res[key] = res.get(key, 0) - c * m * 2 * j
-    terms = _difference_terms(V)
-    for (m, j, s), c in K.A.items():
-        for l, r, coeff in terms:
-            key = (m + l - 2 * r - 1, 2 * j + 2 * r + 1, j - s)
-            res[key] = res.get(key, 0) + c * coeff
-    return {key: val for key, val in res.items() if val}
+        by_t.setdefault(m + 2 * j, []).append((m, j, s, c.numerator, c.denominator))
+    by_l: dict[int, list[tuple[int, int, int]]] = {}
+    for l, r, coeff in _difference_terms(V):
+        by_l.setdefault(l, []).append((r, coeff.numerator, coeff.denominator))
+    if not by_t:
+        return
+    for d in range(min(by_t) - 2, max(by_t) + max(by_l, default=0) + 1):
+        # (key, numerator, denominator) of every contribution, summed on
+        # integers over the lcm of their denominators
+        parts: list[tuple[tuple[int, int, int], int, int]] = []
+        for m, j, s, n, den in by_t.get(d + 2, ()):
+            if j >= 1:
+                parts.append(((m - 1, 2 * j - 1, j - s - 1), -n * (2 * j * m), den))
+        for l, rs in by_l.items():
+            for m, j, s, n, den in by_t.get(d - l, ()):
+                for r, p, q in rs:
+                    parts.append(((m + l - 2 * r - 1, 2 * j + 2 * r + 1, j - s), n * p, den * q))
+        E = math.lcm(*(den for _, _, den in parts))
+        sums: dict[tuple[int, int, int], int] = {}
+        for key, n, den in parts:
+            sums[key] = sums.get(key, 0) + n * (E // den)
+        res = {key: Fraction(t, E) for key, t in sums.items() if t}
+        if res:
+            yield d, res
 
 
 def pde_residual(K: GradedKernel, V: Potential) -> int | None:
@@ -272,12 +306,10 @@ def pde_residual(K: GradedKernel, V: Potential) -> int | None:
     A correctly filled table cancels every residual monomial whose v-power is
     at most 2*Jmax - 1, so the value (when not None) must exceed the
     truncation-guaranteed order. None means the truncated table solves the
-    PDE identically (the free particle).
+    PDE identically (the free particle). Only the entries that reach the
+    degrees up to the answer are multiplied out.
     """
-    res = _residual_monomials(K, V)
-    if not res:
-        return None
-    return min(u_pow + v_pow for (u_pow, v_pow, _) in res)
+    return next((d for d, _ in _residual_monomials(K, V)), None)
 
 
 @dataclass(frozen=True)

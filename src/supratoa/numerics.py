@@ -82,9 +82,14 @@ class BumpProfile:
         return self.amplitude * g * (-2.0 * u / one**2) / self.halfwidth
 
     def deriv2(self, q):
+        return self.value_deriv2(q)[1]
+
+    def value_deriv2(self, q):
+        """(value, deriv2) from one evaluation of the bump."""
         u, one, g = self._parts(q)
         inner = 4.0 * u * u / one**4 - 2.0 / one**2 - 8.0 * u * u / one**3
-        return self.amplitude * g * inner / self.halfwidth**2
+        value = self.amplitude * g
+        return value, value * inner / self.halfwidth**2
 
 
 @dataclass(frozen=True)
@@ -315,17 +320,23 @@ def commutator_residual(
     if abs(overlap) < 1e-12 * norm_phi * norm_psi:
         raise ZeroOverlap(f"|<phi|psi>| = {abs(overlap):.3g} is below threshold")
 
-    def h(chi: BumpProfile, q: float) -> complex:
-        return -(hbar * hbar) / (2.0 * mu) * chi.deriv2(q) + V.value(q) * chi.value(q)
+    def h(chi: BumpProfile, q):
+        """(chi, H chi) at a point or on a node array."""
+        value, d2 = chi.value_deriv2(q)
+        return value, -(hbar * hbar) / (2.0 * mu) * d2 + V.value(q) * value
 
     inner_err = 0.0
 
     def commutator_at(q: float) -> complex:
         nonlocal inner_err
-        h_phi, phi_q = h(phi, q).conjugate(), phi.value(q).conjugate()
-        val, est = _apply_at(
-            kf, lambda qp: h_phi * psi.value(qp) - phi_q * h(psi, qp), psi.support, q, inner_tol
-        )
+        phi_q, h_phi = h(phi, q)
+        phi_q, h_phi = phi_q.conjugate(), h_phi.conjugate()
+
+        def integrand(qp):
+            psi_qp, h_psi = h(psi, qp)
+            return h_phi * psi_qp - phi_q * h_psi
+
+        val, est = _apply_at(kf, integrand, psi.support, q, inner_tol)
         inner_err = max(inner_err, est)
         return val
 

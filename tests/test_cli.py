@@ -1,6 +1,7 @@
 """Command-line surface: configs, formats, exit codes, output contracts."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -163,6 +164,27 @@ class TestKernelCommand:
         assert code == 0
         assert not out.strip()
         assert kernel_from_dict(json.loads(target.read_text())) == solve_kernel_harmonic(1, 3)
+
+    # blake2b (32-byte digest) of the JSON output, recorded before the solver
+    # moved to integer numerators; pins every entry and the emitted order
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            (
+                "potential = 2:1/2 3:1/3 6:1/7\nmu = 1\njmax = 20\n",
+                "87bb5fb005b41ee5b23701910a55ccdfe3ef63c24805953eb78e3fc3cc96dc33",
+            ),
+            (
+                "potential = 1:2/3 2:-1/2 3:1/5 5:3/7 0:1\nmu = 1\nx = 1/2\njmax = 12\n",
+                "14d900ec9e487219ed5e6a92e584f4d2c0c4e646210291cf1b2a508a99409da7",
+            ),
+        ],
+        ids=["ladder-sextic-j20", "degree-5-shifted-j12"],
+    )
+    def test_table_bytes_are_pinned(self, tmp_path, text, digest):
+        code, out, _ = invoke(["kernel", "--config", write_config(tmp_path, text)])
+        assert code == 0
+        assert hashlib.blake2b(out.encode(), digest_size=32).hexdigest() == digest
 
 
 class TestClassicalLimitCommand:

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supratoa.classical_toa import Potential
+from supratoa.classical_toa import Potential, shift_arrival
 from supratoa.kernel_solver import (
     KernelRequest,
     _difference_terms,
+    _residual_monomials,
     boundary_check,
     classical_term,
     default_mmax,
@@ -37,6 +38,24 @@ potentials = st.dictionaries(st.integers(0, 6), params, max_size=7).map(
 
 def general(V, mu, jmax, mmax=None):
     return solve_kernel_general(KernelRequest(V, mu, jmax, mmax))
+
+
+def full_residual(K, V):
+    """Every residual monomial at once: (u-power, v-power, w-power) -> coefficient."""
+    res = {}
+    for (m, j, s), c in K.A.items():
+        if j >= 1:
+            key = (m - 1, 2 * j - 1, j - s - 1)
+            res[key] = res.get(key, 0) - c * m * 2 * j
+    for (m, j, s), c in K.A.items():
+        for l, r, coeff in _difference_terms(V):
+            key = (m + l - 2 * r - 1, 2 * j + 2 * r + 1, j - s)
+            res[key] = res.get(key, 0) + c * coeff
+    return {key: val for key, val in res.items() if val}
+
+
+def lowest_degree(res):
+    return min((u + v for (u, v, _) in res), default=None)
 
 
 class TestRequest:
@@ -216,6 +235,69 @@ class TestResidual:
         order = pde_residual(K, QUARTIC)
         assert order is not None
         assert order < 2 * 4 + 2
+
+
+class TestResidualStream:
+    """pde_residual and its degree stream against the all-monomials residual."""
+
+    @staticmethod
+    def check(K, V):
+        res = full_residual(K, V)
+        assert pde_residual(K, V) == lowest_degree(res)
+        stream = list(_residual_monomials(K, V))
+        degrees = [d for d, _ in stream]
+        assert degrees == sorted(set(degrees))
+        merged = {}
+        for d, monomials in stream:
+            assert monomials
+            assert all(u + v == d for (u, v, _) in monomials)
+            merged.update(monomials)
+        assert merged == res
+
+    @given(potentials, st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_solver_tables(self, V, jmax):
+        self.check(general(V, 1, jmax), V)
+
+    @given(potentials, st.integers(1, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_one_entry_changed(self, V, jmax, data):
+        K = general(V, 1, jmax)
+        m, j, s = data.draw(st.sampled_from(sorted(K.A)))
+        K = K.replace_entry(m, j, s, data.draw(params))
+        self.check(K, V)
+
+    @given(potentials, potentials, st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_wrong_potential(self, V, W, jmax):
+        self.check(general(V, 1, jmax), W)
+
+    def test_ladder_sextic(self):
+        V = Potential.from_pairs([(2, F(1, 2)), (3, F(1, 3)), (6, F(1, 7))])
+        K = general(V, 1, 12)
+        self.check(K, V)
+        assert pde_residual(K, V) == 32
+
+
+class TestLayerOrder:
+    """Integer-numerator layers give the dense reference table, in (j, m, s) order."""
+
+    @pytest.mark.parametrize(
+        "V",
+        [
+            Potential.from_pairs([(2, F(1, 2)), (3, F(1, 3)), (6, F(1, 7))]),
+            shift_arrival(Potential.from_pairs([(0, F(3, 2)), (1, F(2, 3)), (4, F(-1, 5)), (5, F(3, 7))]), F(1, 2)),
+        ],
+        ids=["ladder-sextic", "shifted-with-constant"],
+    )
+    def test_insertion_order_and_dense_reference(self, V):
+        jmax = 12
+        K = general(V, 1, jmax)
+        assert list(K.A) == sorted(K.A, key=lambda key: (key[1], key[0], key[2]))
+        rebuilt = {}
+        for (m, j, s), c in K.items():
+            rebuilt.setdefault((m, 2 * j), {})[j - s] = c
+        assert solve_kernel_ungraded(V, 2 * jmax, K.truncation[0]) == rebuilt
 
 
 class TestBoundary:
