@@ -10,12 +10,11 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GradedKernel, Rational
+from .algebra import GradedKernel
 from .classical_toa import Potential
 from .errors import (
     ArgumentTooNegative,
@@ -32,10 +31,8 @@ _Z_CUTOFF = -90.0
 
 _MAX_TERMS = 800
 
-_QUAD_LIMIT = 50
-
-# Inner rule: Gauss-Legendre levels pair n with 2n nodes per panel, from
-# (_GL_FIRST, 2 * _GL_FIRST) up to a 2n of _GL_CAP.
+# The one quadrature rule: Gauss-Legendre levels pair n with 2n nodes per
+# panel, from (_GL_FIRST, 2 * _GL_FIRST) up to a 2n of _GL_CAP.
 _GL_FIRST = 64
 _GL_CAP = 512
 
@@ -129,32 +126,6 @@ def hyper0f1(z: float, tol: float = 1e-15) -> float:
     raise NoConvergence(f"0F1 series did not settle within {_MAX_TERMS} terms at z = {z}")
 
 
-def _quad_real(f, lo: float, hi: float, epsabs: float, points=None) -> tuple[float, float]:
-    from scipy import integrate  # slow to import; commands without quadrature skip it
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, err = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=0.0, limit=_QUAD_LIMIT, points=points)
-    return val, err
-
-
-def _quad_complex(f, lo: float, hi: float, epsabs: float, points=None) -> tuple[complex, float]:
-    """Complex adaptive quadrature; f is evaluated once per node via a memo
-    shared by the real and imaginary passes."""
-    memo: dict[float, complex] = {}
-
-    def cached(q: float) -> complex:
-        val = memo.get(q)
-        if val is None:
-            val = f(q)
-            memo[q] = val
-        return val
-
-    re, re_err = _quad_real(lambda q: cached(q).real, lo, hi, epsabs, points)
-    im, im_err = _quad_real(lambda q: cached(q).imag, lo, hi, epsabs, points)
-    return complex(re, im), re_err + im_err
-
-
 def kernel_integral_form(
     V: Potential, mu: float, hbar: float, q: float, qp: float, quad: QuadSpec
 ) -> float:
@@ -163,36 +134,21 @@ def kernel_integral_form(
     T0(q, q') = (1/2) * integral_0^((q+q')/2) 0F1(1; (mu/2 hbar^2)(q-q')^2
     [V((q+q')/2) - V(q'')]) dq''. Returns the real factor only; callers apply
     the (mu / i hbar) sgn(q - q') prefactor. Agrees with the series
-    evaluation of the classical term within combined tolerance.
+    evaluation of the classical term within combined tolerance. The integral
+    is one panel of _integrate at an absolute tolerance of at least 1e-15; the
+    panel is empty when q' = -q and reversed when q + q' < 0.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     s_hi = 0.5 * (q + qp)
-    v2 = (q - qp) ** 2
-    w = float(mu) / (2.0 * hbar * hbar)
+    scale = float(mu) / (2.0 * hbar * hbar) * (q - qp) ** 2
     v_top = V.value(s_hi)
 
-    def f(q2: float) -> float:
-        return hyper0f1(w * v2 * (v_top - V.value(q2)))
+    def f(nodes):
+        zs = np.broadcast_to(scale * (v_top - V.value(nodes)), nodes.shape)  # V may be constant
+        return np.array([hyper0f1(z) for z in zs.tolist()])
 
-    val, err = _quad_real(f, 0.0, s_hi, quad.abs_tol)
-    if err > 1e3 * max(quad.abs_tol, 1e-15):
-        raise QuadratureFailure(f"integral-form error estimate {err:.3g}")
-    return 0.5 * val
-
-
-def classical_term_value(
-    cterm: dict[tuple[int, int], Rational], mu: float, hbar: float, q: float, qp: float
-) -> float:
-    """Float evaluation of a classical-slice table at a point (T-factor only).
-
-    The (m, j) entries are the s = 0 grade of a kernel table, evaluated by
-    GradedKernel.tvalue.
-    """
-    table = {(m, j, 0): c for (m, j), c in cterm.items()}
-    mmax = max((m for m, _ in cterm), default=1)
-    jmax = max((j for _, j in cterm), default=0)
-    return GradedKernel(table, mu, (mmax, jmax)).tvalue(q + qp, q - qp, hbar)
+    return 0.5 * _integrate(f, [0.0, s_hi], max(quad.abs_tol, 1e-15))[0]
 
 
 def _as_kernel_func(K, hbar: float):
@@ -213,43 +169,53 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _apply_at(kernel_func, f, support: tuple[float, float], q: float, epsabs: float) -> tuple[complex, float]:
-    """(T f)(q) = integral of <q|T|q'> f(q') over the support of f, and its error estimate.
+def _integrate(g, ends, epsabs: float):
+    """The integral of g over the panels between consecutive ends, and its error estimate.
 
-    Gauss-Legendre on the panels [lo, q] and [q, hi] of the support (one
-    panel when q is outside it), so the sgn jump at q' = q is a panel end.
-    The kernel and f are each called once per node array. Each level sums
-    n and 2n nodes per panel; the estimate is the sum over panels of
-    |I_2n - I_n| plus a roundoff floor of 50 eps * integral |integrand|,
-    and n doubles until the estimate is within epsabs or 2n reaches
-    _GL_CAP. The 2n sum is returned; a non-finite value, or an estimate
-    above 1e3 * epsabs, raises QuadratureFailure.
+    The one quadrature rule of this module. g takes a numpy array of nodes
+    and returns its values there; it is called once per level. Each level
+    sums n and 2n Gauss-Legendre nodes per panel; the estimate is the sum
+    over panels of |I_2n - I_n| plus a roundoff floor of 50 eps * integral
+    |integrand|, and n doubles until the estimate is within epsabs or 2n
+    reaches _GL_CAP. The 2n sum is returned, a float or a complex as g's
+    values are; a non-finite value, or an estimate above 1e3 * epsabs,
+    raises QuadratureFailure. A panel with equal ends adds 0, and one with
+    decreasing ends adds the negated integral.
     """
-    lo, hi = support
-    ends = np.array([lo, q, hi] if lo < q < hi else [lo, hi], dtype=float)
+    ends = np.asarray(ends, dtype=float)
     mid = 0.5 * (ends[1:] + ends[:-1])[:, None]
     half = 0.5 * (ends[1:] - ends[:-1])[:, None]
 
     def panel_sums(n: int) -> tuple[np.ndarray, float]:
         t, w = _gauss_legendre(n)
-        x = (mid + half * t).ravel()
-        wg = (half * w).ravel() * kernel_func(q, x) * f(x)
+        wg = (half * w).ravel() * g((mid + half * t).ravel())
         return wg.reshape(-1, n).sum(axis=1), float(np.abs(wg).sum())
 
     n = _GL_FIRST
     coarse, _ = panel_sums(n)
     while True:
         fine, mass = panel_sums(2 * n)
-        val = complex(fine.sum())
-        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-            raise QuadratureFailure(f"non-finite kernel application at q = {q}")
+        val = fine.sum()
+        if not np.isfinite(val):
+            raise QuadratureFailure(f"non-finite integral over panels {ends.tolist()}")
         err = float(np.abs(fine - coarse).sum()) + _ROUNDOFF * mass
         if err <= epsabs or 2 * n >= _GL_CAP:
             break
         coarse, n = fine, 2 * n
     if err > 1e3 * epsabs:
-        raise QuadratureFailure(f"kernel application error estimate {err:.3g} at q = {q}")
-    return val, err
+        raise QuadratureFailure(f"quadrature error estimate {err:.3g} over panels {ends.tolist()}")
+    return val.item(), err
+
+
+def _apply_at(kernel_func, f, support: tuple[float, float], q: float, epsabs: float) -> tuple[complex, float]:
+    """(T f)(q) = integral of <q|T|q'> f(q') over the support of f, and its error estimate.
+
+    _integrate on the panels [lo, q] and [q, hi] of the support (one panel
+    when q is outside it), so the sgn jump at q' = q is a panel end.
+    """
+    lo, hi = support
+    ends = [lo, q, hi] if lo < q < hi else [lo, hi]
+    return _integrate(lambda x: kernel_func(q, x) * f(x), ends, epsabs)
 
 
 def apply_kernel(K, phi: BumpProfile, qgrid, hbar: float, quad: QuadSpec) -> list[complex]:
@@ -263,7 +229,7 @@ def apply_kernel(K, phi: BumpProfile, qgrid, hbar: float, quad: QuadSpec) -> lis
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     kf = _as_kernel_func(K, hbar)
-    return [_apply_at(kf, phi.value, phi.support, float(q), quad.abs_tol)[0] for q in qgrid]
+    return [complex(_apply_at(kf, phi.value, phi.support, float(q), quad.abs_tol)[0]) for q in qgrid]
 
 
 @dataclass(frozen=True)
@@ -293,10 +259,15 @@ def commutator_residual(
     derivative. The commutator is then one nested integral over
     supp(phi) x supp(psi) of
     <q|T|q'> [conj(H phi)(q) psi(q') - conj(phi)(q) (H psi)(q')].
-    The inner integral over q' is the array rule of _apply_at; the outer
-    integral, the overlap and the norms are QUADPACK's. The error budget sums
-    the outer quadrature estimate, hbar times the overlap estimate, and the
-    largest inner estimate integrated over supp(phi).
+    Every integral is the one rule of _integrate: the inner one over q' on
+    supp(psi) split at q' = q (_apply_at), the outer one over supp(phi)
+    split at the ends of supp(psi) inside it, where the outer integrand
+    inherits the flat, non-analytic edge of psi, and the overlap and the
+    norms on one panel each. So a tolerance the rule cannot certify raises
+    QuadratureFailure instead of returning a report. The error budget sums
+    the outer estimate, hbar times the overlap estimate, and the largest
+    inner estimate integrated over supp(phi); it has no term for truncation
+    of the table.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
@@ -308,15 +279,11 @@ def commutator_residual(
     if lo >= hi:
         raise ZeroOverlap("test function supports do not intersect")
 
-    overlap, overlap_err = _quad_complex(
-        lambda q: phi.value(q).conjugate() * psi.value(q), lo, hi, inner_tol
+    overlap, overlap_err = _integrate(
+        lambda q: phi.value(q).conjugate() * psi.value(q), [lo, hi], inner_tol
     )
-    norm_phi = math.sqrt(
-        _quad_real(lambda q: abs(phi.value(q)) ** 2, *phi.support, inner_tol)[0]
-    )
-    norm_psi = math.sqrt(
-        _quad_real(lambda q: abs(psi.value(q)) ** 2, *psi.support, inner_tol)[0]
-    )
+    norm_phi = math.sqrt(_integrate(lambda q: abs(phi.value(q)) ** 2, phi.support, inner_tol)[0])
+    norm_psi = math.sqrt(_integrate(lambda q: abs(psi.value(q)) ** 2, psi.support, inner_tol)[0])
     if abs(overlap) < 1e-12 * norm_phi * norm_psi:
         raise ZeroOverlap(f"|<phi|psi>| = {abs(overlap):.3g} is below threshold")
 
@@ -340,15 +307,21 @@ def commutator_residual(
         inner_err = max(inner_err, est)
         return val
 
-    commutator, err = _quad_complex(commutator_at, *phi.support, quad.abs_tol)
+    # lo and hi are the ends of supp(psi) clipped to supp(phi)
+    commutator, err = _integrate(
+        lambda qs: np.array([commutator_at(q) for q in qs.tolist()]),
+        sorted({*phi.support, lo, hi}),
+        quad.abs_tol,
+    )
 
     numerator = commutator - 1j * hbar * overlap
     denom = hbar * abs(overlap)
     residual = abs(numerator) / denom
 
-    # Each inner estimate bounds |error| of the complex value, and _apply_at
-    # accepts up to 1e3 * inner_tol, so the budget takes the largest estimate
-    # it returned, not the tolerance, over the length of supp(phi).
+    # Each estimate bounds |error| of its complex value, and _integrate
+    # accepts up to 1e3 times its tolerance, so the budget takes the
+    # estimates returned, not the tolerances: the outer and overlap ones as
+    # they are, and the largest inner one over the length of supp(phi).
     inner_noise = (2.0 * phi.halfwidth) * inner_err
     budget = (err + hbar * overlap_err + inner_noise) / denom
 

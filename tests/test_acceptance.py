@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from supratoa.algebra import QPoly, poly_shift
+from supratoa.algebra import GradedKernel, QPoly, poly_shift
 from supratoa.classical_toa import (
     PhasePoint,
     Potential,
@@ -37,7 +37,6 @@ from supratoa.kernel_solver import (
 from supratoa.numerics import (
     BumpProfile,
     QuadSpec,
-    classical_term_value,
     commutator_residual,
     kernel_integral_form,
 )
@@ -181,11 +180,16 @@ def test_criterion_06_integral_form():
     worst = 0.0
     for V in (HARMONIC, QUARTIC):
         cterm = classical_term(V, 1, 12)
+        series = GradedKernel(
+            {(m, j, 0): c for (m, j), c in cterm.items()},
+            1.0,
+            (max(m for m, _ in cterm), max(j for _, j in cterm)),
+        )
         for _ in range(100):
             q = rng.uniform(-0.5, 0.5)
             qp = rng.uniform(-0.5, 0.5)
             via_integral = kernel_integral_form(V, 1.0, 1.0, q, qp, quad)
-            via_series = classical_term_value(cterm, 1.0, 1.0, q, qp)
+            via_series = series.tvalue(q + qp, q - qp, 1.0)
             worst = max(worst, abs(via_integral - via_series))
     elapsed = time.monotonic() - start
 

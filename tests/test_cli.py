@@ -215,6 +215,20 @@ class TestClassicalLimitCommand:
         assert data["all_match"] is True
 
 
+class TestCommutatorCommand:
+    def test_unattainable_tolerance_exits_two(self, tmp_path):
+        # the outer integral cannot certify 1e-22 in doubles: no report
+        path = write_config(
+            tmp_path,
+            "potential = 2:1/2\njmax = 10\nquad_abs_tol = 1e-22\n"
+            "phi_center = 0\nphi_halfwidth = 1/2\npsi_center = 1/10\npsi_halfwidth = 1/2\n",
+        )
+        code, out, err = invoke(["commutator", "--config", path])
+        assert code == 2
+        assert not out
+        assert "verification failure" in err
+
+
 class TestWeylCompareCommand:
     def test_quartic_obstruction_note(self, tmp_path):
         path = write_config(tmp_path, "potential = 4:1\nkmax = 6\n")

@@ -1,13 +1,19 @@
 """Float-domain checks: special function, integral form, operator application."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import supratoa
+from supratoa.algebra import GradedKernel
 from supratoa.classical_toa import Potential
 from supratoa.errors import (
     ArgumentTooNegative,
@@ -27,7 +33,6 @@ from supratoa.numerics import (
     BumpProfile,
     QuadSpec,
     apply_kernel,
-    classical_term_value,
     commutator_residual,
     hyper0f1,
     kernel_integral_form,
@@ -36,6 +41,13 @@ from supratoa.numerics import (
 HARMONIC = Potential.from_pairs([(2, F(1, 2))])
 QUARTIC = Potential.from_pairs([(4, 1)])
 FREE_KERNEL = solve_kernel_general(KernelRequest(Potential.free(), 1, 0))
+
+
+def classical_slice(V, jmax=12):
+    """The s = 0 grade of V's kernel table (mu = 1) as a GradedKernel."""
+    cterm = classical_term(V, 1, jmax)
+    table = {(m, j, 0): c for (m, j), c in cterm.items()}
+    return GradedKernel(table, 1.0, (max(m for m, _ in cterm), max(j for _, j in cterm)))
 
 
 def hyper0f1_oracle(z, nterms=90):
@@ -149,14 +161,35 @@ class TestIntegralForm:
 
     @pytest.mark.parametrize("V", [HARMONIC, Potential.from_pairs([(4, 1)])])
     def test_matches_series_evaluation(self, V):
-        cterm = classical_term(V, 1, 12)
+        series = classical_slice(V)
         rng = random.Random(11)
         quad = QuadSpec(1e-11)
         for _ in range(25):
             q, qp = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
             via_integral = kernel_integral_form(V, 1.0, 1.0, q, qp, quad)
-            via_series = classical_term_value(cterm, 1.0, 1.0, q, qp)
+            via_series = series.tvalue(q + qp, q - qp, 1.0)
             assert via_integral == pytest.approx(via_series, abs=1e-8)
+
+    @pytest.mark.parametrize("V", [HARMONIC, QUARTIC], ids=["harmonic", "quartic"])
+    def test_empty_panel_is_zero(self, V):
+        assert kernel_integral_form(V, 1.0, 1.0, 0.3, -0.3, QuadSpec(1e-12)) == 0.0
+
+    @pytest.mark.parametrize("V", [HARMONIC, QUARTIC], ids=["harmonic", "quartic"])
+    def test_reversed_panel_matches_quadpack(self, V):
+        # (q + q')/2 < 0: the panel runs from 0 down to a negative end
+        q, qp = -0.41, 0.17
+        s_hi = 0.5 * (q + qp)
+        scale = 0.5 * (q - qp) ** 2
+        oracle = integrate.quad(
+            lambda q2: hyper0f1(scale * (V.value(s_hi) - V.value(q2))),
+            0.0,
+            s_hi,
+            epsabs=1e-14,
+            epsrel=0.0,
+        )[0]
+        got = kernel_integral_form(V, 1.0, 1.0, q, qp, QuadSpec(1e-14))
+        assert abs(oracle) > 1e-2
+        assert abs(got - 0.5 * oracle) <= 1e-12
 
     def test_hbar_validation(self):
         with pytest.raises(ValueError):
@@ -316,6 +349,13 @@ class TestCommutator:
                 HARMONIC, solve_kernel_harmonic(1, 4), self.PHI, self.PSI, 1.0, 0.0, QuadSpec(1e-8)
             )
 
+    def test_unattainable_tolerance_raises(self):
+        # as for apply_kernel: the outer rule's roundoff floor alone is far
+        # above 1e3 * 1e-22, so no report may come back
+        K = solve_kernel_harmonic(1, 10)
+        with pytest.raises(QuadratureFailure):
+            commutator_residual(HARMONIC, K, self.PHI, self.PSI, 1.0, 1.0, QuadSpec(1e-22))
+
     def test_residual_improves_with_truncation_then_saturates(self):
         # bumps pushed away from the origin so jmax = 4 truncation dominates;
         # by jmax = 8 the table is converged far below the quadrature floor
@@ -329,3 +369,28 @@ class TestCommutator:
         assert r[4] > 5 * r[8]
         assert abs(r[12] - r[8]) < 1e-8
         assert r[12] < 1e-6
+
+
+ONE_RULE_SCRIPT = """
+import sys
+from fractions import Fraction as F
+from supratoa.classical_toa import Potential
+from supratoa.kernel_solver import solve_kernel_harmonic
+from supratoa.numerics import BumpProfile, QuadSpec, commutator_residual, kernel_integral_form
+V = Potential.from_pairs([(2, F(1, 2))])
+phi, psi = BumpProfile(0.0, 0.5), BumpProfile(0.1, 0.5)
+commutator_residual(V, solve_kernel_harmonic(1, 4), phi, psi, 1.0, 1.0, QuadSpec(1e-8))
+kernel_integral_form(V, 1.0, 1.0, 0.3, 0.1, QuadSpec(1e-12))
+print(sorted(m for m in sys.modules if m.startswith("scipy.integrate")))
+"""
+
+
+def test_numerics_integrates_without_scipy_integrate():
+    # a fresh interpreter, since this test module imports scipy.integrate itself
+    src = str(Path(supratoa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", ONE_RULE_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
