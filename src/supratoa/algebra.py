@@ -162,7 +162,8 @@ class QPoly:
         """Evaluate at x: exact for Fraction/int arguments, float otherwise.
 
         A float or a numpy array x reads the (degree, float coefficient)
-        terms, converted on the first float evaluation.
+        terms, converted on the first float evaluation. The zero polynomial
+        gives 0.0 at a float and zeros of x's shape on an array.
         """
         if isinstance(x, (Fraction, int)):
             total = Fraction(0)
@@ -171,6 +172,8 @@ class QPoly:
             return total
         if self._float_terms is None:
             self._float_terms = tuple((d, float(c)) for d, c in self.coeffs.items())
+        if not self._float_terms:
+            return np.zeros(x.shape) if isinstance(x, np.ndarray) else 0.0
         power = _power_fn(x)
         total = 0.0
         for d, c in self._float_terms:
@@ -367,7 +370,8 @@ class GradedKernel:
 
         Reads the (float(A), j - s, m, 2j) terms, converted on the first
         float evaluation, in table order. Each distinct power of w, u and v
-        is computed once per call.
+        is computed once per call. An empty table gives 0.0 at a point and
+        zeros of the broadcast shape on arrays.
         """
         if self._float_form is None:
             terms = tuple((float(c), j - s, m, 2 * j) for (m, j, s), c in self.A.items())
@@ -378,6 +382,10 @@ class GradedKernel:
                 {n for _, _, _, n in terms},
             )
         terms, ks, ms, ns = self._float_form
+        if not terms:
+            if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
+                return np.zeros(np.broadcast(u, v).shape)
+            return 0.0
         w = float(self.mu) / (2.0 * hbar * hbar)
         power = _power_fn(u)
         wk = {k: w**k for k in ks}

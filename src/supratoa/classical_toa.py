@@ -16,6 +16,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import MomentumSeries, QPoly, Rational, RationalLike, poly_antideriv, poly_shift
 from .errors import NotAccessible, QuadratureFailure, ZeroMomentum
 
@@ -166,6 +168,16 @@ def _interval(a: float, b: float) -> tuple[float, float]:
     return (a, b) if a <= b else (b, a)
 
 
+def _scan_grid(lo: float, hi: float) -> np.ndarray:
+    """The scan points lo + (hi - lo) * i / n, i = 0..n, n = _SCAN_POINTS.
+
+    Each element takes the same IEEE operations, in the same order, as the
+    scalar expression, so it is == to it.
+    """
+    n = _SCAN_POINTS
+    return lo + (hi - lo) * np.arange(n + 1, dtype=float) / n
+
+
 def toa_quadrature(V: Potential, pt: PhasePoint, tol: float = 1e-10) -> float:
     """Time of arrival by direct quadrature of the equations of motion.
 
@@ -183,11 +195,10 @@ def toa_quadrature(V: Potential, pt: PhasePoint, tol: float = 1e-10) -> float:
 
     # Strict accessibility: H - V must stay positive on the whole interval.
     margin = _ACCESS_MARGIN * max(1.0, abs(energy))
-    n = _SCAN_POINTS
-    for i in range(n + 1):
-        qi = lo + (hi - lo) * i / n
-        if energy - V.value(qi) <= margin:
-            raise NotAccessible(f"H - V <= 0 near q' = {qi:.6g}")
+    grid = _scan_grid(lo, hi)
+    blocked = energy - V.value(grid) <= margin
+    if blocked.any():
+        raise NotAccessible(f"H - V <= 0 near q' = {float(grid[blocked.argmax()]):.6g}")
 
     def integrand(qp: float) -> float:
         # the scan can miss a barrier narrower than its spacing
@@ -208,21 +219,27 @@ def toa_quadrature(V: Potential, pt: PhasePoint, tol: float = 1e-10) -> float:
 
 
 def _extremum_candidates(V: Potential, lo: float, hi: float) -> list[float]:
-    """Endpoints plus polished interior roots of V' (4096-point scan + Newton)."""
+    """Endpoints plus polished interior roots of V' (4096-point scan + Newton).
+
+    Scan interval k runs from point k to point k + 1. It is a hit when V'
+    vanishes at either end or changes sign; a zero at its left end is taken
+    as it is, any other hit is polished by Newton from the midpoint.
+    Candidates come in the order of the intervals.
+    """
     candidates = [lo, hi]
     vp = V.poly.derivative()
     vpp = vp.derivative()
     if vp.is_zero() or lo == hi:
         return candidates
-    n = _SCAN_POINTS
-    prev_q = lo
-    prev_f = vp(lo)
-    for i in range(1, n + 1):
-        qi = lo + (hi - lo) * i / n
-        fi = vp(qi)
-        if prev_f == 0.0:
+    grid = _scan_grid(lo, hi)
+    f = vp(grid)
+    left, right = f[:-1], f[1:]
+    hits = (left == 0.0) | (right == 0.0) | ((left < 0.0) != (right < 0.0))
+    for k in np.flatnonzero(hits).tolist():
+        prev_q, qi = float(grid[k]), float(grid[k + 1])
+        if f[k] == 0.0:
             candidates.append(prev_q)
-        elif fi == 0.0 or (prev_f < 0.0) != (fi < 0.0):
+        else:
             root = 0.5 * (prev_q + qi)
             for _ in range(30):
                 d = vpp(root)
@@ -234,7 +251,6 @@ def _extremum_candidates(V: Potential, lo: float, hi: float) -> list[float]:
                     break
             if lo <= root <= hi:
                 candidates.append(root)
-        prev_q, prev_f = qi, fi
     return candidates
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -342,14 +343,19 @@ def cmd_grid(config: RunConfig) -> int:
     else:
         ps = np.linspace(config.pmin, config.pmax, config.np)
         lines = ["q,p,toa"]
+        nan_reasons = Counter()
         for q in qs:
             for p in ps:
                 pt = PhasePoint(q=float(q), p=float(p), x=float(config.x), mu=float(config.mu))
                 try:
                     value = toa_quadrature(config.potential, pt, config.quad_abs_tol)
-                except SupratoaError:
+                except SupratoaError as exc:
                     value = math.nan
+                    nan_reasons[type(exc).__name__] += 1
                 lines.append(f"{float(q)!r},{float(p)!r},{value!r}")
+        if nan_reasons:
+            reasons = ", ".join(f"{name} {count}" for name, count in sorted(nan_reasons.items()))
+            click.echo(f"grid: {nan_reasons.total()} of {len(lines) - 1} rows NaN ({reasons})", err=True)
     _emit("\n".join(lines), config.out)
     return 0
 

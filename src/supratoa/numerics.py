@@ -145,7 +145,7 @@ def kernel_integral_form(
     v_top = V.value(s_hi)
 
     def f(nodes):
-        zs = np.broadcast_to(scale * (v_top - V.value(nodes)), nodes.shape)  # V may be constant
+        zs = scale * (v_top - V.value(nodes))
         return np.array([hyper0f1(z) for z in zs.tolist()])
 
     return 0.5 * _integrate(f, [0.0, s_hi], max(quad.abs_tol, 1e-15))[0]

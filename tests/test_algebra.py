@@ -163,3 +163,17 @@ class TestGradedKernel:
     def test_tvalue_free_kernel(self):
         K = GradedKernel({(1, 0, 0): F(1, 4)}, 1, (1, 0))
         assert K.tvalue(0.8, 0.3, 1.0) == pytest.approx(0.2)
+
+    def test_empty_evaluations_keep_the_array_shape(self):
+        nodes = np.linspace(-1.0, 1.0, 7)
+        for q in (nodes, nodes.reshape(7, 1)):
+            values = QPoly.zero()(q)
+            assert isinstance(values, np.ndarray) and values.shape == q.shape
+            assert not values.any()
+        assert QPoly.zero()(0.5) == 0.0
+        empty = GradedKernel({}, 1, (1, 0))
+        values = empty.tvalue(nodes, 0.25, 1.0)
+        assert isinstance(values, np.ndarray) and values.shape == nodes.shape
+        assert not values.any()
+        assert empty.tvalue(0.3, nodes.reshape(7, 1), 1.0).shape == (7, 1)
+        assert empty.tvalue(0.8, 0.3, 1.0) == 0.0

@@ -3,14 +3,20 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supratoa.algebra import QPoly
 from supratoa.classical_toa import (
+    _ACCESS_MARGIN,
+    _SCAN_POINTS,
     PhasePoint,
     Potential,
+    _extremum_candidates,
+    _interval,
+    _scan_grid,
     convergence_margin,
     local_toa,
     series_tail_bound,
@@ -19,7 +25,7 @@ from supratoa.classical_toa import (
     toa_iterate_liouville,
     toa_quadrature,
 )
-from supratoa.errors import NotAccessible, ZeroMomentum
+from supratoa.errors import NotAccessible, QuadratureFailure, ZeroMomentum
 
 HARMONIC = Potential.from_pairs([(2, F(1, 2))])  # mass 1, unit frequency
 ARCTAN_02 = 0.19739555984988078  # atan(1/5)
@@ -208,3 +214,122 @@ class TestShiftArrival:
             direct = toa_iterate_closed(V, 1, 2, x=x)
             via_shift = toa_iterate_closed(shift_arrival(V, x), 1, 2, x=0)
             assert poly_shift(direct, x) == via_shift
+
+
+# The scalar loops that the array scans replaced, kept as their reference:
+# the scans must give == candidates (in the same order), margins, tail
+# bounds and NotAccessible messages.
+def scalar_extremum_candidates(V, lo, hi):
+    candidates = [lo, hi]
+    vp = V.poly.derivative()
+    vpp = vp.derivative()
+    if vp.is_zero() or lo == hi:
+        return candidates
+    n = _SCAN_POINTS
+    prev_q = lo
+    prev_f = vp(lo)
+    for i in range(1, n + 1):
+        qi = lo + (hi - lo) * i / n
+        fi = vp(qi)
+        if prev_f == 0.0:
+            candidates.append(prev_q)
+        elif fi == 0.0 or (prev_f < 0.0) != (fi < 0.0):
+            root = 0.5 * (prev_q + qi)
+            for _ in range(30):
+                d = vpp(root)
+                if d == 0.0:
+                    break
+                step = vp(root) / d
+                root -= step
+                if abs(step) < 1e-15 * max(1.0, abs(root)):
+                    break
+            if lo <= root <= hi:
+                candidates.append(root)
+        prev_q, prev_f = qi, fi
+    return candidates
+
+
+def scalar_access_message(V, pt):
+    energy = pt.energy(V)
+    lo, hi = _interval(float(pt.x), float(pt.q))
+    margin = _ACCESS_MARGIN * max(1.0, abs(energy))
+    n = _SCAN_POINTS
+    for i in range(n + 1):
+        qi = lo + (hi - lo) * i / n
+        if energy - V.value(qi) <= margin:
+            return f"H - V <= 0 near q' = {qi:.6g}"
+    return None
+
+
+def assert_scans_match_scalar_loops(V, q, x, p, mu=1.0, K=8):
+    lo, hi = _interval(x, q)
+    expected = scalar_extremum_candidates(V, lo, hi)
+    assert _extremum_candidates(V, lo, hi) == expected
+    vq = V.value(q)
+    ratio = mu * max(abs(vq - V.value(c)) for c in expected) / (p * p)
+    assert convergence_margin(V, mu, q, x, p) == (ratio, ratio < 0.5)
+    two_r = 2.0 * ratio
+    tail = math.inf if two_r >= 1.0 else abs(mu * (q - x) / p) * two_r ** (K + 1) / (1.0 - two_r)
+    assert series_tail_bound(V, mu, q, x, p, K) == tail
+
+    pt = PhasePoint(q, p, x=x, mu=mu)
+    message = scalar_access_message(V, pt) if q != x else None
+    try:
+        toa_quadrature(V, pt)
+    except NotAccessible as exc:
+        # QUADPACK may still find a zone the scan missed ("at q' = ...")
+        assert str(exc) == message or (message is None and "near" not in str(exc))
+    except QuadratureFailure:
+        assert message is None
+    else:
+        assert message is None
+
+
+class TestArrayScans:
+    @given(
+        st.dictionaries(st.integers(min_value=0, max_value=7), params, max_size=5),
+        params,
+        params,
+        nonzero_params,
+        st.sampled_from([1.0, 0.5, 2.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_match_scalar_loops(self, coeffs, q, x, p, mu):
+        V = Potential.from_pairs(coeffs.items())
+        assert_scans_match_scalar_loops(V, float(q), float(x), float(p), mu)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("k", [-2048, -2047, -1, 0, 1, 777, 2047, 2048])
+    def test_derivative_zero_on_a_grid_point(self, k, sign):
+        # V' = 2 sign (q - c) vanishes exactly on scan point k + 2048 of
+        # [-1, 1]; k = 2048 puts it on the last point
+        c = F(k, 2048)
+        V = Potential.from_pairs([(2, sign), (1, -2 * sign * c), (0, sign * c * c)])
+        assert float(c) in _extremum_candidates(V, -1.0, 1.0)
+        assert_scans_match_scalar_loops(V, 1.0, -1.0, 3.0)
+        assert_scans_match_scalar_loops(V, -1.0, 1.0, -3.0)
+
+    @pytest.mark.parametrize(
+        "V", [Potential.free(), Potential.from_pairs([(1, F(3, 4))]), HARMONIC], ids=["free", "linear", "harmonic"]
+    )
+    @pytest.mark.parametrize("q, x", [(0.6, 0.6), (0.6, -0.3), (-0.5, 0.25)])
+    def test_fixed_cases(self, V, q, x):
+        assert_scans_match_scalar_loops(V, q, x, 1.3)
+        assert_scans_match_scalar_loops(V, q, x, 0.2)
+
+    def test_blocked_point_message(self):
+        V = Potential.from_pairs([(1, 1)])
+        pt = PhasePoint(0.0, 1.0, x=3.0)
+        with pytest.raises(NotAccessible) as exc:
+            toa_quadrature(V, pt)
+        assert str(exc.value) == scalar_access_message(V, pt) == "H - V <= 0 near q' = 0.500244"
+
+    @given(
+        st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False),
+        st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_grid_equals_scalar_points(self, lo, hi):
+        n = _SCAN_POINTS
+        expected = np.array([lo + (hi - lo) * i / n for i in range(n + 1)])
+        assert _scan_grid(lo, hi).tobytes() == expected.tobytes()

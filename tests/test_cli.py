@@ -9,7 +9,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from supratoa.classical_toa import Potential
+from supratoa import algebra
+from supratoa.classical_toa import _SCAN_POINTS, Potential
 from supratoa.cli import main
 from supratoa.kernel_solver import solve_kernel_harmonic
 from supratoa.serialize import kernel_from_dict
@@ -34,6 +35,29 @@ def write_config(tmp_path, text, name="run.conf"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def digest(text):
+    return hashlib.blake2b(text.encode(), digest_size=32).hexdigest()
+
+
+# The arrival-time scans evaluate V and V' once per array of scan points, so
+# a toa job or a small toa grid makes a few hundred polynomial evaluations
+# (mostly QUADPACK's nodes); one scalar scan alone would make 4097.
+MAX_POLY_CALLS = 1000
+
+
+@pytest.fixture
+def poly_calls(monkeypatch):
+    calls = [0]
+    evaluate = algebra.QPoly.__call__
+
+    def counted(self, x):
+        calls[0] += 1
+        return evaluate(self, x)
+
+    monkeypatch.setattr(algebra.QPoly, "__call__", counted)
+    return calls
 
 
 class TestEntryPoints:
@@ -279,8 +303,9 @@ class TestGridCommand:
             "grid_kind = toa\npotential = 2:1/2\nkmax = 10\n"
             "qmin = 0.1\nqmax = 0.3\nnq = 3\npmin = 1\npmax = 2\nnp = 3\nformat = csv\n",
         )
-        code, out, _ = invoke(["grid", "--config", path])
+        code, out, err = invoke(["grid", "--config", path])
         assert code == 0
+        assert not err
         lines = out.strip().splitlines()
         assert lines[0] == "q,p,toa"
         assert len(lines) == 10
@@ -295,9 +320,34 @@ class TestGridCommand:
             f"grid_kind = toa\npotential = {BARRIER}\nqmin = 1\nqmax = 1\nnq = 1\n"
             f"pmin = {BARRIER_P!r}\npmax = {BARRIER_P!r}\nnp = 1\n",
         )
-        code, out, _ = invoke(["grid", "--config", path])
+        code, out, err = invoke(["grid", "--config", path])
         assert code == 0
         assert math.isnan(float(out.strip().splitlines()[1].split(",")[2]))
+        assert err == "grid: 1 of 1 rows NaN (NotAccessible 1)\n"
+
+    def test_toa_grid_bytes_are_pinned(self, tmp_path):
+        # blake2b (32-byte digest) of the CSV, recorded before the scans ran
+        # on arrays; p = 0 rows and rows behind V = q are NaN
+        path = write_config(
+            tmp_path,
+            "grid_kind = toa\npotential = 1:1\nqmin = -1\nqmax = 1\nnq = 5\n"
+            "pmin = -3/2\npmax = 3/2\nnp = 7\n",
+        )
+        code, out, err = invoke(["grid", "--config", path])
+        assert code == 0
+        assert digest(out) == "4c835fcbeab9efca01ebac0a3c7a8b5f9bc79fe7eaba1e942980a6501f48dd81"
+        assert err == "grid: 13 of 35 rows NaN (NotAccessible 8, ZeroMomentum 5)\n"
+
+    def test_toa_grid_evaluates_polynomials_per_array(self, tmp_path, poly_calls):
+        path = write_config(
+            tmp_path,
+            "grid_kind = toa\npotential = 2:1/2 3:1/3 6:1/7\nx = 1/3\n"
+            "qmin = -0.5\nqmax = 0.5\nnq = 3\npmin = 1\npmax = 2\nnp = 3\n",
+        )
+        code, _, _ = invoke(["grid", "--config", path])
+        assert code == 0
+        assert MAX_POLY_CALLS < _SCAN_POINTS
+        assert 0 < poly_calls[0] <= MAX_POLY_CALLS
 
 
 class TestToaCommand:
@@ -313,6 +363,20 @@ class TestToaCommand:
         assert data["quadrature_value"] == pytest.approx(-math.atan(0.2), abs=1e-10)
         assert abs(data["difference"]) <= data["tail_bound"] + 1e-9
         assert data["verified"] is True
+
+    LADDER_AT_THIRD = "potential = 2:1/2 3:1/3 6:1/7\nx = 1/3\nq = 1/5\np = 1\nkmax = 12\n"
+
+    def test_report_bytes_are_pinned(self, tmp_path):
+        # blake2b (32-byte digest) of the JSON, recorded before the scans ran on arrays
+        code, out, _ = invoke(["toa", "--config", write_config(tmp_path, self.LADDER_AT_THIRD)])
+        assert code == 0
+        assert digest(out) == "d359a9e2c55cbd471c25f645de320daeff0008e5e66036e3d3c6ad8fde86f478"
+
+    def test_job_evaluates_polynomials_per_array(self, tmp_path, poly_calls):
+        code, _, _ = invoke(["toa", "--config", write_config(tmp_path, self.LADDER_AT_THIRD)])
+        assert code == 0
+        assert MAX_POLY_CALLS < _SCAN_POINTS
+        assert 0 < poly_calls[0] <= MAX_POLY_CALLS
 
     def test_forbidden_point_exits_two(self, tmp_path):
         path = write_config(tmp_path, "potential = 1:1\nq = 0\np = 1\nx = 3\n")
