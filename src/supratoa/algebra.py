@@ -316,7 +316,7 @@ class GradedKernel:
     modified copies.
     """
 
-    __slots__ = ("A", "mu", "truncation", "potential", "_float_form")
+    __slots__ = ("A", "mu", "truncation", "potential", "_float_terms", "_float_form")
 
     def __init__(
         self,
@@ -334,12 +334,33 @@ class GradedKernel:
             c = Fraction(c)
             if c:
                 table[(m, j, s)] = c
+        self._fill(table, mu, truncation, potential)
+
+    @classmethod
+    def trusted(
+        cls,
+        table: dict[tuple[int, int, int], Rational],
+        mu: RationalLike,
+        truncation: tuple[int, int],
+        potential: QPoly | None = None,
+    ) -> "GradedKernel":
+        """A table whose entries are already nonzero Fractions at valid indices.
+
+        The dict is taken as it is, neither copied nor checked: for solvers
+        that build it themselves. Every other caller goes through __init__.
+        """
+        kernel = cls.__new__(cls)
+        kernel._fill(table, mu, truncation, potential)
+        return kernel
+
+    def _fill(self, table, mu, truncation, potential) -> None:
         self.A = table
         self.mu = Fraction(mu)
         mmax, jmax = truncation
         self.truncation = (int(mmax), int(jmax))
         self.potential = potential
-        # (terms, w exponents, u exponents, v exponents), built by tvalue
+        # built on the first float evaluation: see _float_plan and dense_form
+        self._float_terms: tuple | None = None
         self._float_form: tuple | None = None
 
     def entry(self, m: int, j: int, s: int) -> Rational:
@@ -365,36 +386,89 @@ class GradedKernel:
             table.pop((m, j, s), None)
         return GradedKernel(table, self.mu, self.truncation, self.potential)
 
+    def _float_plan(self) -> tuple:
+        """Float coefficients and Horner layout, built on the first float evaluation.
+
+        (keys, coef, rows, counts, slot): the (m, j, j - s) key and the float
+        value of each entry in table order; the powers m of u that hold
+        entries, ordered by their highest power j of z = v^2, highest first,
+        and the zero row m = 0 (its addition gives every result, an empty
+        table's too, the broadcast shape of u and v); counts[j], how many of
+        those rows reach z^j (a prefix); and slot[m], row m's place in that
+        order, or -1 when it has no entry.
+        """
+        if self._float_terms is None:
+            keys = np.array([(m, j, j - s) for m, j, s in self.A], dtype=np.intp).reshape(-1, 3)
+            # float(c) without the numbers.Rational indirection: the same
+            # correctly rounded integer division
+            coef = np.array([c.numerator / c.denominator for c in self.A.values()])
+            mmax, jmax = keys[:, :2].max(axis=0) if len(keys) else (0, 0)
+            top = np.full(mmax + 1, -1)
+            np.maximum.at(top, keys[:, 0], keys[:, 1])
+            top[0] = 0  # every entry has m >= 1: row 0 is the zero row
+            rows = sorted(np.flatnonzero(top >= 0).tolist(), key=lambda m: -top[m])
+            counts = [sum(top[m] >= j for m in rows) for j in range(jmax + 1)]
+            slot = [-1] * (mmax + 1)
+            for i, m in enumerate(rows):
+                slot[m] = i
+            self._float_terms = (keys, coef, rows, counts, slot)
+        return self._float_terms
+
+    def dense_form(self, hbar: float) -> np.ndarray:
+        """The float matrix C[m, j] = sum_s A[(m, j, s)] w^(j-s), w = mu / 2 hbar^2.
+
+        Row m holds the coefficients of u^m (row 0 is zero: every entry has
+        m >= 1), column j those of z^j, z = v^2; an empty table gives a 1 x 1
+        zero matrix. Each entry is converted to a float once per table, w is
+        mu / (2 hbar hbar) in floats and its powers are repeated products;
+        the sum over s runs in table order. The matrix is kept for the last
+        hbar asked for.
+        """
+        if self._float_form is None or self._float_form[0] != hbar:
+            keys, coef, rows, counts, slot = self._float_plan()
+            w = float(self.mu) / (2.0 * hbar * hbar)
+            wk = [1.0]
+            for _ in range(len(counts) - 1):
+                wk.append(wk[-1] * w)
+            dense = np.zeros((len(slot), len(counts)))
+            np.add.at(dense, (keys[:, 0], keys[:, 1]), coef * np.array(wk)[keys[:, 2]])
+            self._float_form = (hbar, dense, dense[rows])
+        return self._float_form[1]
+
     def tvalue(self, u, v, hbar: float):
         """Float value of the truncated T(u, v), at a point or on node arrays.
 
-        Reads the (float(A), j - s, m, 2j) terms, converted on the first
-        float evaluation, in table order. Each distinct power of w, u and v
-        is computed once per call. An empty table gives 0.0 at a point and
-        zeros of the broadcast shape on arrays.
+        Horner's scheme on dense_form(hbar), in z = v^2 and then in u. The z
+        pass runs on the rows of u-powers that hold entries at once, each
+        row joining at its highest power of z; the u pass skips the empty
+        rows' additions. Points and arrays run the same float operations,
+        so an array evaluation equals the scalar calls element by element;
+        arrays broadcast, and a point gives a float. Against the exact T at
+        the float u, v and w = mu / 2 hbar^2, and barring underflow, the
+        error is at most
+        gamma_n * sum over entries |A| w^(j-s) |u|^m v^(2j), with
+        gamma_n = n eps / (1 - n eps), eps = 2^-53 and n = 8 J + 2 M + 3 for
+        largest powers u^M and v^(2J): 5 J + 1 roundings from the collapse
+        into C, J from z^j, 2 J + 1 and 2 M + 1 from the two Horner passes.
         """
-        if self._float_form is None:
-            terms = tuple((float(c), j - s, m, 2 * j) for (m, j, s), c in self.A.items())
-            self._float_form = (
-                terms,
-                {k for _, k, _, _ in terms},
-                {m for _, _, m, _ in terms},
-                {n for _, _, _, n in terms},
-            )
-        terms, ks, ms, ns = self._float_form
-        if not terms:
-            if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
-                return np.zeros(np.broadcast(u, v).shape)
-            return 0.0
-        w = float(self.mu) / (2.0 * hbar * hbar)
-        power = _power_fn(u)
-        wk = {k: w**k for k in ks}
-        um = {m: power(u, m) for m in ms}
-        vn = {n: power(v, n) for n in ns}
-        total = 0.0
-        for c, k, m, n in terms:
-            total += c * wk[k] * um[m] * vn[n]
-        return total
+        self.dense_form(hbar)
+        block = self._float_form[2]  # the rows of the dense form in Horner order
+        _, _, _, counts, slot = self._float_plan()
+        z = v * v
+        p = np.zeros((len(block),) + np.shape(z))
+        column = (-1,) + (1,) * np.ndim(z)
+        for j in range(len(counts) - 1, -1, -1):
+            k = counts[j]
+            p[:k] *= z
+            p[:k] += block[:k, j].reshape(column)
+        t = 0.0
+        for m in range(len(slot) - 1, -1, -1):
+            t = t * u
+            if slot[m] >= 0:
+                t = t + p[slot[m]]
+        if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
+            return t
+        return float(t)
 
     def __eq__(self, other: object) -> bool:
         """Entry-wise equality of the tables (and mass); truncation metadata

@@ -114,12 +114,15 @@ def _to_rational(key: str, raw: str) -> Fraction:
 
 def _to_float(key: str, raw: str) -> float:
     try:
-        return float(parse_rational(raw))
-    except ValueError:
+        value = float(parse_rational(raw))
+    except (ValueError, OverflowError):  # a decimal beyond the float range reads as inf below
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: not a finite number: {raw!r}")
+    return value
 
 
 def _to_int(key: str, raw: str) -> int:
@@ -335,11 +338,11 @@ def cmd_grid(config: RunConfig) -> int:
     if config.grid_kind == "kernel":
         K = solve_kernel_general(KernelRequest(V=V, mu=config.mu, Jmax=config.jmax))
         qps = np.linspace(config.qpmin, config.qpmax, config.nqp)
+        values = kernel_eval(K, qs[:, None], qps, config.hbar)
         lines = ["q,qp,re,im"]
-        for q in qs:
-            for qp in qps:
-                val = kernel_eval(K, float(q), float(qp), config.hbar)
-                lines.append(f"{float(q)!r},{float(qp)!r},{val.real!r},{val.imag!r}")
+        for q, row in zip(qs.tolist(), values.tolist()):
+            for qp, val in zip(qps.tolist(), row):
+                lines.append(f"{q!r},{qp!r},{val.real!r},{val.imag!r}")
     else:
         ps = np.linspace(config.pmin, config.pmax, config.np)
         lines = ["q,p,toa"]

@@ -116,13 +116,12 @@ def solve_kernel_general(req: KernelRequest) -> GradedKernel:
                 if m <= req.Mmax:
                     key = (m, sp + r)
                     sums[key] = sums.get(key, 0) + scale * n
-        # (j, m, s) insertion order fixes the summation order of GradedKernel.tvalue
         layer = {(m, s): Fraction(t, 2 * j * m * E) for (m, s), t in sorted(sums.items()) if t}
         D = math.lcm(*(c.denominator for c in layer.values()))
         layers.append(({key: c.numerator * (D // c.denominator) for key, c in layer.items()}, D))
         del layers[:-depth]
         table.update(((m, j, s), c) for (m, s), c in layer.items())
-    return GradedKernel(table, req.mu, (req.Mmax, req.Jmax), potential=req.V.poly)
+    return GradedKernel.trusted(table, req.mu, (req.Mmax, req.Jmax), potential=req.V.poly)
 
 
 def solve_kernel_harmonic(muomega: RationalLike, Jmax: int, mu: RationalLike = 1) -> GradedKernel:
@@ -246,12 +245,13 @@ def kernel_eval(K: GradedKernel, q: float, qp, hbar: float):
     """Truncated value of the full kernel <q|T|q'> = (mu/i hbar) T(q,q') sgn(q-q').
 
     Purely imaginary whenever T is real (it is); zero on the diagonal by the
-    sgn(0) = 0 convention. q' may be a numpy node array; the complex array
-    returned then equals the scalar calls element by element.
+    sgn(0) = 0 convention. q and q' may be numpy arrays that broadcast (a
+    column of points against node rows); the complex array returned then
+    equals the scalar calls element by element.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    if isinstance(qp, np.ndarray):
+    if isinstance(q, np.ndarray) or isinstance(qp, np.ndarray):
         t = K.tvalue(q + qp, q - qp, hbar)
         return (float(K.mu) / (1j * hbar)) * t * np.sign(q - qp)
     sg = _sgn(q - qp)

@@ -36,6 +36,10 @@ _MAX_TERMS = 800
 _GL_FIRST = 64
 _GL_CAP = 512
 
+# Node values per call of a batch integrand (whole rows, at least one):
+# it bounds the arrays of one kernel evaluation, and with them peak memory.
+_NODE_CAP = 4096
+
 # QUADPACK's roundoff floor on an error estimate: 50 machine epsilons times
 # the integral of |integrand|.
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
@@ -172,64 +176,99 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _integrate(g, ends, epsabs: float):
     """The integral of g over the panels between consecutive ends, and its error estimate.
 
-    The one quadrature rule of this module. g takes a numpy array of nodes
-    and returns its values there; it is called once per level. Each level
-    sums n and 2n Gauss-Legendre nodes per panel; the estimate is the sum
-    over panels of |I_2n - I_n| plus a roundoff floor of 50 eps * integral
-    |integrand|, and n doubles until the estimate is within epsabs or 2n
-    reaches _GL_CAP. The 2n sum is returned, a float or a complex as g's
-    values are; a non-finite value, or an estimate above 1e3 * epsabs,
-    raises QuadratureFailure. A panel with equal ends adds 0, and one with
-    decreasing ends adds the negated integral.
+    The one quadrature rule of this module. ends is one row of panel ends,
+    shape (P + 1,), or a batch of rows, shape (R, P + 1). g returns its
+    values at the nodes it gets: g(x) with x of shape (P n,) for one row,
+    once per level; g(x, i) for a batch, with x of shape (R', P n) holding
+    the nodes of rows i (an index array, in order) that are still open, in
+    calls of at most _NODE_CAP node values (but at least one row). Each
+    level sums n and 2n Gauss-Legendre nodes per panel; a row's estimate is
+    the sum over its panels of |I_2n - I_n| plus a roundoff floor of
+    50 eps * integral |integrand|, and n doubles until the estimate is
+    within epsabs or 2n reaches _GL_CAP. Each row stops at its own level,
+    with the value and estimate a call on that row alone would give. The 2n
+    sum is the value, a float or a complex as g's values are; a batch
+    returns arrays of R values and R estimates. A non-finite value, or an
+    estimate above 1e3 * epsabs, raises QuadratureFailure. A panel with
+    equal ends adds 0, and one with decreasing ends adds the negated
+    integral.
     """
     ends = np.asarray(ends, dtype=float)
-    mid = 0.5 * (ends[1:] + ends[:-1])[:, None]
-    half = 0.5 * (ends[1:] - ends[:-1])[:, None]
+    rows = ends.reshape(-1, ends.shape[-1])
+    mid = 0.5 * (rows[:, 1:] + rows[:, :-1])[:, :, None]
+    half = 0.5 * (rows[:, 1:] - rows[:, :-1])[:, :, None]
 
-    def panel_sums(n: int) -> tuple[np.ndarray, float]:
+    def panel_sums(n: int, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t, w = _gauss_legendre(n)
-        wg = (half * w).ravel() * g((mid + half * t).ravel())
-        return wg.reshape(-1, n).sum(axis=1), float(np.abs(wg).sum())
+        step = max(1, _NODE_CAP // (n * half.shape[1])) if ends.ndim == 2 else 1
+        sums, mass = [], []
+        for start in range(0, len(live), step):
+            i = live[start : start + step]
+            h = half[i]
+            x = (mid[i] + h * t).reshape(len(i), -1)
+            wg = (h * w).reshape(len(i), -1) * (g(x, i) if ends.ndim == 2 else g(x[0]))
+            sums.append(wg.reshape(len(i), -1, n).sum(axis=2))
+            mass.append(np.abs(wg).sum(axis=1))
+        return np.concatenate(sums), np.concatenate(mass)
 
     n = _GL_FIRST
-    coarse, _ = panel_sums(n)
+    live = np.arange(len(rows))
+    coarse, _ = panel_sums(n, live)
+    vals, errs = None, np.empty(len(rows))
     while True:
-        fine, mass = panel_sums(2 * n)
-        val = fine.sum()
-        if not np.isfinite(val):
-            raise QuadratureFailure(f"non-finite integral over panels {ends.tolist()}")
-        err = float(np.abs(fine - coarse).sum()) + _ROUNDOFF * mass
-        if err <= epsabs or 2 * n >= _GL_CAP:
+        fine, mass = panel_sums(2 * n, live)
+        val = fine.sum(axis=1)
+        finite = np.isfinite(val)
+        if not finite.all():
+            raise QuadratureFailure(f"non-finite integral over panels {rows[live[np.argmin(finite)]].tolist()}")
+        err = np.abs(fine - coarse).sum(axis=1) + _ROUNDOFF * mass
+        done = (err <= epsabs) | (2 * n >= _GL_CAP)
+        if vals is None:
+            vals = np.empty(len(rows), dtype=val.dtype)
+        vals[live[done]], errs[live[done]] = val[done], err[done]
+        if done.all():
             break
-        coarse, n = fine, 2 * n
-    if err > 1e3 * epsabs:
-        raise QuadratureFailure(f"quadrature error estimate {err:.3g} over panels {ends.tolist()}")
-    return val.item(), err
+        live, coarse, n = live[~done], fine[~done], 2 * n
+    failed = errs > 1e3 * epsabs
+    if failed.any():
+        i = int(np.argmax(failed))
+        raise QuadratureFailure(f"quadrature error estimate {errs[i]:.3g} over panels {rows[i].tolist()}")
+    if ends.ndim == 1:
+        return vals[0].item(), errs[0].item()
+    return vals, errs
 
 
-def _apply_at(kernel_func, f, support: tuple[float, float], q: float, epsabs: float) -> tuple[complex, float]:
-    """(T f)(q) = integral of <q|T|q'> f(q') over the support of f, and its error estimate.
+def _apply(kernel_func, f, support: tuple[float, float], qs, epsabs: float) -> tuple[np.ndarray, np.ndarray]:
+    """(T f_q)(q) = integral of <q|T|q'> f_q(q') over the support, at each q of qs.
 
-    _integrate on the panels [lo, q] and [q, hi] of the support (one panel
-    when q is outside it), so the sgn jump at q' = q is a panel end.
+    f(q, q') takes a column of outer points q and node rows q' and returns
+    f_q(q'). The points are one _integrate batch: row q has the panels
+    [lo, clip(q), hi], so the sgn jump at q' = q is a panel end (an empty
+    panel adds 0 when q is at or outside an end). Returns the values and
+    the error estimates.
     """
     lo, hi = support
-    ends = [lo, q, hi] if lo < q < hi else [lo, hi]
-    return _integrate(lambda x: kernel_func(q, x) * f(x), ends, epsabs)
+    q = np.asarray(qs, dtype=float).reshape(-1, 1)
+    ends = np.hstack([np.full_like(q, lo), np.clip(q, lo, hi), np.full_like(q, hi)])
+    return _integrate(lambda x, i: kernel_func(q[i], x) * f(q[i], x), ends, epsabs)
 
 
 def apply_kernel(K, phi: BumpProfile, qgrid, hbar: float, quad: QuadSpec) -> list[complex]:
     """Sample (T phi)(q) = integral <q|T|q'> phi(q') dq' on a grid of points.
 
-    K may be a GradedKernel or a callable kernel (q, q') that takes a float
-    q and an array of q' nodes and returns their values (a constant
-    broadcasts). Every returned value is checked finite; the integral of a
-    bounded kernel against a bump must be.
+    K may be a GradedKernel or a callable kernel (q, q') that takes a column
+    of points q, shape (R, 1), and node rows q', shape (R, N), and returns
+    their values (a constant broadcasts). Every returned value is checked
+    finite; the integral of a bounded kernel against a bump must be.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     kf = _as_kernel_func(K, hbar)
-    return [complex(_apply_at(kf, phi.value, phi.support, float(q), quad.abs_tol)[0]) for q in qgrid]
+    qs = np.asarray(qgrid, dtype=float)
+    if not qs.size:
+        return []
+    vals, _ = _apply(kf, lambda q, qp: phi.value(qp), phi.support, qs, quad.abs_tol)
+    return [complex(v) for v in vals.tolist()]
 
 
 @dataclass(frozen=True)
@@ -260,7 +299,8 @@ def commutator_residual(
     supp(phi) x supp(psi) of
     <q|T|q'> [conj(H phi)(q) psi(q') - conj(phi)(q) (H psi)(q')].
     Every integral is the one rule of _integrate: the inner one over q' on
-    supp(psi) split at q' = q (_apply_at), the outer one over supp(phi)
+    supp(psi) split at q' = q, for all the nodes of an outer level as one
+    batch of rows (_apply), the outer one over supp(phi)
     split at the ends of supp(psi) inside it, where the outer integrand
     inherits the flat, non-analytic edge of psi, and the overlap and the
     norms on one panel each. So a tolerance the rule cannot certify raises
@@ -292,27 +332,21 @@ def commutator_residual(
         value, d2 = chi.value_deriv2(q)
         return value, -(hbar * hbar) / (2.0 * mu) * d2 + V.value(q) * value
 
+    def integrand(q, qp):
+        phi_q, h_phi = h(phi, q)
+        psi_qp, h_psi = h(psi, qp)
+        return h_phi.conjugate() * psi_qp - phi_q.conjugate() * h_psi
+
     inner_err = 0.0
 
-    def commutator_at(q: float) -> complex:
+    def inner(qs):
         nonlocal inner_err
-        phi_q, h_phi = h(phi, q)
-        phi_q, h_phi = phi_q.conjugate(), h_phi.conjugate()
-
-        def integrand(qp):
-            psi_qp, h_psi = h(psi, qp)
-            return h_phi * psi_qp - phi_q * h_psi
-
-        val, est = _apply_at(kf, integrand, psi.support, q, inner_tol)
-        inner_err = max(inner_err, est)
-        return val
+        vals, errs = _apply(kf, integrand, psi.support, qs, inner_tol)
+        inner_err = max(inner_err, float(errs.max()))
+        return vals
 
     # lo and hi are the ends of supp(psi) clipped to supp(phi)
-    commutator, err = _integrate(
-        lambda qs: np.array([commutator_at(q) for q in qs.tolist()]),
-        sorted({*phi.support, lo, hi}),
-        quad.abs_tol,
-    )
+    commutator, err = _integrate(inner, sorted({*phi.support, lo, hi}), quad.abs_tol)
 
     numerator = commutator - 1j * hbar * overlap
     denom = hbar * abs(overlap)

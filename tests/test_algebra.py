@@ -1,5 +1,6 @@
 """Exact-arithmetic substrate: rationals, polynomials, series containers."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,7 +19,9 @@ from supratoa.algebra import (
     poly_shift,
 )
 from supratoa.classical_toa import Potential
-from supratoa.kernel_solver import KernelRequest, solve_kernel_general
+from supratoa.kernel_solver import KernelRequest, solve_kernel_general, solve_kernel_harmonic
+
+SEXTIC = Potential.from_pairs([(2, F(1, 2)), (3, F(1, 3)), (6, F(1, 7))])
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 polys = st.builds(
@@ -177,3 +180,99 @@ class TestGradedKernel:
         assert not values.any()
         assert empty.tvalue(0.3, nodes.reshape(7, 1), 1.0).shape == (7, 1)
         assert empty.tvalue(0.8, 0.3, 1.0) == 0.0
+
+
+_EXACT_ROWS = {}
+
+
+def exact_rows(K, hbar, absolute):
+    """Integer numerators N[m][j] over one denominator D of sum_s A w^(j-s).
+
+    w = mu / 2 hbar^2 with hbar taken as the rational the float is; with
+    absolute=True the sum is of |A| w^(j-s). Kept per table, hbar and kind.
+    """
+    key = (id(K), hbar, absolute)
+    if key not in _EXACT_ROWS:
+        _EXACT_ROWS[key] = _exact_rows(K, hbar, absolute)
+    return _EXACT_ROWS[key]
+
+
+def _exact_rows(K, hbar, absolute):
+    w = F(K.mu) / (2 * F(hbar) ** 2)
+    mmax = max(m for m, _, _ in K.A)
+    jmax = max(j for _, j, _ in K.A)
+    dense = {}
+    for (m, j, s), c in K.A.items():
+        term = c * w ** (j - s)
+        dense[m, j] = dense.get((m, j), 0) + (abs(term) if absolute else term)
+    den = math.lcm(*(F(c).denominator for c in dense.values()))
+    rows = [[int(dense.get((m, j), 0) * den) for j in range(jmax + 1)] for m in range(mmax + 1)]
+    return rows, den
+
+
+def exact_t(K, u, v, hbar, absolute=False):
+    """T(u, v) of the table in exact rational arithmetic, at float u, v and hbar.
+
+    With absolute=True it is sum over entries |A| w^(j-s) |u|^m v^(2j)
+    instead. Horner's scheme on integers: u = a / e and z = v^2 = b / f with
+    e and f powers of two, and the table over one denominator.
+    """
+    rows, den = exact_rows(K, hbar, absolute)
+    mmax, jmax = len(rows) - 1, len(rows[0]) - 1
+    a, e = F(abs(u) if absolute else u).as_integer_ratio()
+    b, f = (F(v) ** 2).as_integer_ratio()
+    total = 0
+    for m in range(mmax, -1, -1):
+        row = 0
+        for j in range(jmax, -1, -1):
+            row = row * b + rows[m][j] * f ** (jmax - j)
+        total = total * a + row * e ** (mmax - m)
+    return F(total, den * e**mmax * f**jmax)
+
+
+# the rounding model leaves out underflow, so no tiny nonzero points
+points = st.floats(-2.0, 2.0).filter(lambda x: x == 0 or abs(x) > 1e-100)
+
+ROUNDING_TABLES = {
+    "sextic-j20": solve_kernel_general(KernelRequest(SEXTIC, 1, 20)),
+    "quartic-j8": solve_kernel_general(KernelRequest(Potential.from_pairs([(4, 1)]), 1, 8)),
+    "harmonic-j10": solve_kernel_harmonic(1, 10),
+    "free": solve_kernel_general(KernelRequest(Potential.free(), F(3, 2), 4)),
+}
+
+
+class TestHornerRoundingBound:
+    """tvalue against exact rationals, within Horner's forward error bound."""
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    @pytest.mark.parametrize("name", list(ROUNDING_TABLES))
+    @given(u=points, v=points)
+    @settings(max_examples=25, deadline=None)
+    def test_error_within_bound(self, name, hbar, u, v):
+        K = ROUNDING_TABLES[name]
+        mmax = max(m for m, _, _ in K.A)
+        jmax = max(j for _, j, _ in K.A)
+        n = 8 * jmax + 2 * mmax + 3
+        eps = F(1, 2**53)
+        gamma = n * eps / (1 - n * eps)
+        error = abs(F(K.tvalue(u, v, hbar)) - exact_t(K, u, v, hbar))
+        assert error <= gamma * exact_t(K, u, v, hbar, absolute=True)
+
+    def test_exact_helper_matches_direct_sum(self):
+        K = ROUNDING_TABLES["quartic-j8"]
+        u, v, hbar = 0.375, -1.25, 0.7
+        w = F(K.mu) / (2 * F(hbar) ** 2)
+        direct = sum(c * w ** (j - s) * F(u) ** m * F(v) ** (2 * j) for (m, j, s), c in K.A.items())
+        assert exact_t(K, u, v, hbar) == direct
+        assert exact_t(K, -u, v, hbar, absolute=True) == sum(
+            abs(c) * w ** (j - s) * F(u) ** m * F(v) ** (2 * j) for (m, j, s), c in K.A.items()
+        )
+
+    def test_dense_form_collapses_grades(self):
+        K = GradedKernel({(1, 0, 0): F(1, 4), (3, 2, 0): F(1, 3), (3, 2, 1): F(-1, 5)}, 2, (3, 2))
+        dense = K.dense_form(0.5)  # w = mu / 2 hbar^2 = 4
+        assert dense.shape == (4, 3)
+        assert dense[1, 0] == 0.25
+        assert dense[3, 2] == pytest.approx(16 / 3 - 4 / 5, rel=1e-15)
+        assert np.count_nonzero(dense) == 2
+        assert GradedKernel({}, 1, (1, 0)).dense_form(1.0).shape == (1, 1)

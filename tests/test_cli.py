@@ -9,10 +9,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from supratoa import algebra
+from supratoa import algebra, cli
 from supratoa.classical_toa import _SCAN_POINTS, Potential
 from supratoa.cli import main
-from supratoa.kernel_solver import solve_kernel_harmonic
+from supratoa.kernel_solver import KernelRequest, kernel_eval, solve_kernel_general, solve_kernel_harmonic
 from supratoa.serialize import kernel_from_dict
 
 COMMANDS = ["kernel", "classical-limit", "commutator", "weyl-compare", "grid", "toa"]
@@ -145,6 +145,22 @@ class TestConfigErrors:
         assert code == 1
         assert not out
         assert "x" in err
+
+    @pytest.mark.parametrize(
+        "cmd, text, key",
+        [
+            ("toa", "potential = 2:1/2\nq = nan\n", "q"),
+            ("grid", "grid_kind = toa\npotential = 2:1/2\npmin = nan\n", "pmin"),
+            ("commutator", "potential = 2:1/2\nhbar = inf\n", "hbar"),
+            ("toa", "potential = 2:1/2\np = -1e400\n", "p"),
+        ],
+        ids=["toa-q-nan", "grid-pmin-nan", "commutator-hbar-inf", "toa-p-overflow"],
+    )
+    def test_non_finite_float_rejected(self, tmp_path, cmd, text, key):
+        code, out, err = invoke([cmd, "--config", write_config(tmp_path, text)])
+        assert code == 1
+        assert not out
+        assert f"key {key!r}: not a finite number" in err
 
     def test_json_grid_rejected(self, tmp_path):
         path = write_config(tmp_path, "grid_kind = kernel\npotential = free\nformat = json\n")
@@ -296,6 +312,53 @@ class TestGridCommand:
         code, out, _ = invoke(["grid", "--config", path])
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 2500
+
+    SEXTIC_GRID = (
+        "grid_kind = kernel\npotential = 2:1/2 3:1/3 6:1/7\njmax = 8\nhbar = 7/10\n"
+        "qmin = -1\nqmax = 1\nnq = 9\nqpmin = -1\nqpmax = 1\nnqp = 9\n"
+    )
+
+    def test_kernel_grid_is_one_array_evaluation(self, tmp_path, monkeypatch):
+        calls = []
+        evaluate = cli.kernel_eval
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(cli, "kernel_eval", counted)
+        path = write_config(
+            tmp_path,
+            "grid_kind = kernel\npotential = 2:1/2 3:1/3 6:1/7\njmax = 10\n"
+            "qmin = -1\nqmax = 1\nnq = 6\nqpmin = -1\nqpmax = 1\nnqp = 6\n",
+        )
+        code, out, _ = invoke(["grid", "--config", path])
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 36
+        assert len(calls) == 1
+
+    def test_kernel_grid_equals_scalar_calls(self, tmp_path):
+        # the diagonal (q = q') and the u = 0 points included
+        code, out, _ = invoke(["grid", "--config", write_config(tmp_path, self.SEXTIC_GRID)])
+        assert code == 0
+        K = solve_kernel_general(
+            KernelRequest(Potential.from_pairs([(2, F(1, 2)), (3, F(1, 3)), (6, F(1, 7))]), 1, 8)
+        )
+        axis = [-1.0 + 0.25 * i for i in range(9)]
+        lines = ["q,qp,re,im"]
+        for q in axis:
+            for qp in axis:
+                val = kernel_eval(K, q, qp, 0.7)
+                lines.append(f"{q!r},{qp!r},{val.real!r},{val.imag!r}")
+        assert out.strip().splitlines() == lines
+
+    def test_kernel_grid_real_parts_are_pinned(self, tmp_path):
+        # blake2b of the q,qp,re columns as 81 scalar kernel_eval calls
+        # write them: the signs of the zero real parts are part of the output
+        code, out, _ = invoke(["grid", "--config", write_config(tmp_path, self.SEXTIC_GRID)])
+        assert code == 0
+        columns = "\n".join(",".join(line.split(",")[:3]) for line in out.strip().splitlines())
+        assert digest(columns) == "bed81c23700bd269f5b100c019443a2a4a2a7bf158c6b4cb65d36a9bd22d229f"
 
     def test_toa_grid_values_are_finite_in_region(self, tmp_path):
         path = write_config(

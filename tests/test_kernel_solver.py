@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supratoa.algebra import GradedKernel
 from supratoa.classical_toa import Potential, shift_arrival
 from supratoa.kernel_solver import (
     KernelRequest,
@@ -279,17 +280,17 @@ class TestResidualStream:
         assert pde_residual(K, V) == 32
 
 
+@pytest.mark.parametrize(
+    "V",
+    [
+        Potential.from_pairs([(2, F(1, 2)), (3, F(1, 3)), (6, F(1, 7))]),
+        shift_arrival(Potential.from_pairs([(0, F(3, 2)), (1, F(2, 3)), (4, F(-1, 5)), (5, F(3, 7))]), F(1, 2)),
+    ],
+    ids=["ladder-sextic", "shifted-with-constant"],
+)
 class TestLayerOrder:
     """Integer-numerator layers give the dense reference table, in (j, m, s) order."""
 
-    @pytest.mark.parametrize(
-        "V",
-        [
-            Potential.from_pairs([(2, F(1, 2)), (3, F(1, 3)), (6, F(1, 7))]),
-            shift_arrival(Potential.from_pairs([(0, F(3, 2)), (1, F(2, 3)), (4, F(-1, 5)), (5, F(3, 7))]), F(1, 2)),
-        ],
-        ids=["ladder-sextic", "shifted-with-constant"],
-    )
     def test_insertion_order_and_dense_reference(self, V):
         jmax = 12
         K = general(V, 1, jmax)
@@ -298,6 +299,16 @@ class TestLayerOrder:
         for (m, j, s), c in K.items():
             rebuilt.setdefault((m, 2 * j), {})[j - s] = c
         assert solve_kernel_ungraded(V, 2 * jmax, K.truncation[0]) == rebuilt
+
+    def test_trusted_table_passes_full_validation(self, V):
+        # the solver skips GradedKernel's checks; building the same table
+        # through them must change nothing
+        K = general(V, F(3, 2), 12)
+        checked = GradedKernel(K.A, K.mu, K.truncation, K.potential)
+        assert checked == K
+        assert list(checked.A.items()) == list(K.A.items())
+        assert all(type(c) is F and c for c in K.A.values())
+        assert (K.truncation, K.potential) == (checked.truncation, checked.potential)
 
 
 class TestBoundary:

@@ -28,12 +28,16 @@ from supratoa.kernel_solver import (
     solve_kernel_general,
     solve_kernel_harmonic,
 )
+from supratoa import numerics
 from supratoa.numerics import (
+    _NODE_CAP,
     _Z_CUTOFF,
     BumpProfile,
     QuadSpec,
     apply_kernel,
     commutator_residual,
+    _apply,
+    _integrate,
     hyper0f1,
     kernel_integral_form,
 )
@@ -369,6 +373,126 @@ class TestCommutator:
         assert r[4] > 5 * r[8]
         assert abs(r[12] - r[8]) < 1e-8
         assert r[12] < 1e-6
+
+
+def per_row_apply(kernel_func, f, support, qs, epsabs):
+    """Reference for the batched inner rule: one _integrate call per outer point.
+
+    Each q is its own _integrate call on [lo, q, hi], or on [lo, hi] when q
+    is not inside the support. Returns the values, the estimates and the
+    number of integrand calls per row (one per level, plus one).
+    """
+    lo, hi = support
+    vals, errs, calls = [], [], []
+    for q in qs:
+        count = [0]
+
+        def g(x, q=q, count=count):
+            count[0] += 1
+            return kernel_func(q, x) * f(q, x)
+
+        val, err = _integrate(g, [lo, q, hi] if lo < q < hi else [lo, hi], epsabs)
+        vals.append(val)
+        errs.append(err)
+        calls.append(count[0])
+    return vals, errs, calls
+
+
+class TestBatchedRule:
+    """One _integrate batch of rows equals one call per row."""
+
+    PSI = BumpProfile(0.1, 0.5)
+    # inside, at both ends of supp psi, and outside it on either side
+    QS = [-0.45, -0.4, -0.13, 0.0, 0.1, 0.27, 0.44, 0.6, 0.9]
+
+    @pytest.mark.parametrize("tol", [1e-11, 1e-14])
+    def test_values_and_estimates_equal_per_row_calls(self, tol):
+        K = solve_kernel_general(KernelRequest(QUARTIC, 1, 8))
+
+        def kf(q, qp):
+            return kernel_eval(K, q, qp, 0.7)
+
+        def f(q, qp):
+            return self.PSI.deriv2(qp) * np.cos(3.0 * q) + self.PSI.value(qp)
+
+        vals, errs = _apply(kf, f, self.PSI.support, self.QS, tol)
+        ref_vals, ref_errs, calls = per_row_apply(kf, f, self.PSI.support, self.QS, tol)
+        assert vals.tolist() == ref_vals
+        assert errs.tolist() == ref_errs
+        if tol < 1e-12:
+            assert len(set(calls)) > 1  # rows close at different levels
+
+    def test_callable_kernel_gets_a_column_of_points(self):
+        shapes = []
+
+        def kf(q, qp):
+            shapes.append((q.shape, qp.shape))
+            return np.where(qp < q, 1.0, -1.0)
+
+        vals, _ = _apply(kf, lambda q, qp: self.PSI.value(qp), self.PSI.support, self.QS, 1e-12)
+        ref, _, _ = per_row_apply(
+            lambda q, qp: np.where(qp < q, 1.0, -1.0),
+            lambda q, qp: self.PSI.value(qp),
+            self.PSI.support,
+            self.QS,
+            1e-12,
+        )
+        assert vals.tolist() == ref
+        assert all(len(q) == 2 and q[1] == 1 and q[0] == x[0] for q, x in shapes)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_row_raises(self):
+        def kf(q, qp):
+            return np.where(q > 0.25, np.inf, 1.0) * qp
+
+        def f(q, qp):
+            return self.PSI.value(qp)
+
+        with pytest.raises(QuadratureFailure, match="non-finite"):
+            _apply(kf, f, self.PSI.support, self.QS, 1e-10)
+        with pytest.raises(QuadratureFailure, match="non-finite"):
+            per_row_apply(kf, f, self.PSI.support, self.QS, 1e-10)
+
+    def test_one_row_returns_scalars(self):
+        val, err = _integrate(np.cos, [0.0, 0.5, 1.0], 1e-12)
+        assert isinstance(val, float) and isinstance(err, float)
+        assert val == pytest.approx(math.sin(1.0), abs=1e-14)
+
+    def test_empty_grid(self):
+        assert apply_kernel(FREE_KERNEL, self.PSI, [], 1.0, QuadSpec(1e-10)) == []
+
+
+class TestWorkCounters:
+    """Evaluation counts that guard the batched inner rule without timing it."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        seen = []
+        evaluate = numerics.kernel_eval
+
+        def counted(K, q, qp, hbar):
+            seen.append(np.broadcast(q, qp).size)
+            return evaluate(K, q, qp, hbar)
+
+        monkeypatch.setattr(numerics, "kernel_eval", counted)
+        return seen
+
+    def test_harmonic_commutator_evaluates_few_arrays(self, sizes):
+        K = solve_kernel_general(KernelRequest(HARMONIC, 1, 8))
+        report = commutator_residual(
+            HARMONIC, K, TestCommutator.PHI, TestCommutator.PSI, 1.0, 1.0, QuadSpec(1e-8)
+        )
+        assert report.residual < 1e-9
+        # one array per level and slice of outer rows; a call per outer
+        # node would make 1,049
+        assert 0 < len(sizes) <= 100
+        assert max(sizes) <= _NODE_CAP
+
+    def test_free_commutator_respects_the_node_cap(self, sizes):
+        commutator_residual(
+            Potential.free(), FREE_KERNEL, TestCommutator.PHI, TestCommutator.PSI, 1.0, 1.0, QuadSpec(1e-10)
+        )
+        assert max(sizes) <= _NODE_CAP
 
 
 ONE_RULE_SCRIPT = """
