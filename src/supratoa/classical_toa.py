@@ -269,14 +269,16 @@ def convergence_margin(V: Potential, mu: float, q: float, x: float, p: float) ->
     return ratio, ratio < 0.5
 
 
-def series_tail_bound(V: Potential, mu: float, q: float, x: float, p: float, K: int) -> float:
+def series_tail_bound(ratio: float, mu: float, q: float, x: float, p: float, K: int) -> float:
     """Geometric bound on the tail of the local series dropped after order K.
 
-    The iterates obey |T_k| <= (mu |q-x| / |p|) (2 ratio)^k because
-    (2k-1)!!/k! <= 2^k, so for ratio < 1/2 the tail after K is at most
+    ratio is the convergence ratio that convergence_margin returns for the
+    same (mu, q, x, p). The iterates obey |T_k| <= (mu |q-x| / |p|) (2 ratio)^k
+    because (2k-1)!!/k! <= 2^k, so for ratio < 1/2 the tail after K is at most
     lead * (2 ratio)^(K+1) / (1 - 2 ratio). Returns inf outside that region.
     """
-    ratio, _ = convergence_margin(V, mu, q, x, p)
+    if p == 0:
+        raise ZeroMomentum("tail bound undefined at p = 0")
     two_r = 2.0 * ratio
     lead = abs(mu * (q - x) / p)
     if two_r >= 1.0:

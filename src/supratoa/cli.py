@@ -179,8 +179,6 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("key 'mu': must be positive")
     if config.hbar <= 0:
         raise ConfigError("key 'hbar': must be positive")
-    if config.format is not None and config.format not in _FORMATS:
-        raise ConfigError(f"key 'format': must be one of {_FORMATS}")
     if config.grid_kind not in _GRID_KINDS:
         raise ConfigError(f"key 'grid_kind': must be one of {_GRID_KINDS}")
     if config.phi_halfwidth <= 0 or config.psi_halfwidth <= 0:
@@ -206,6 +204,10 @@ def _emit(text: str, out: str | None) -> None:
         click.echo(text)
 
 
+def _emit_json(payload: dict, out: str | None) -> None:
+    _emit(json.dumps(payload, indent=2), out)
+
+
 def _effective_potential(config: RunConfig) -> Potential:
     """Arrival point x != 0 is folded into the potential before solving."""
     if config.x:
@@ -228,11 +230,10 @@ def cmd_kernel(config: RunConfig) -> int:
                 "required_min_order": 2 * config.jmax + 2,
             }
         }
-        _emit(json.dumps(diagnostics, indent=2), config.out)
+        _emit_json(diagnostics, config.out)
         return 2
-    fmt = config.format or "json"
-    if fmt == "json":
-        _emit(json.dumps(kernel_to_dict(K), indent=2), config.out)
+    if config.format == "json":
+        _emit_json(kernel_to_dict(K), config.out)
     else:
         lines = ["m,j,s,coeff"]
         lines += [f"{m},{j},{s},{format_rational(c)}" for (m, j, s), c in K.items()]
@@ -242,8 +243,6 @@ def cmd_kernel(config: RunConfig) -> int:
 
 def cmd_classical_limit(config: RunConfig) -> int:
     """Compare the Wigner transform of the kernel with the classical series."""
-    if (config.format or "json") != "json":
-        raise ConfigError("classical-limit reports are json only")
     V = _effective_potential(config)
     kmax = min(config.kmax, config.jmax)
     K = solve_kernel_general(KernelRequest(V=V, mu=config.mu, Jmax=config.jmax))
@@ -275,14 +274,12 @@ def cmd_classical_limit(config: RunConfig) -> int:
         "linear_system": V.is_linear,
         "all_match": all_match,
     }
-    _emit(json.dumps(payload, indent=2), config.out)
+    _emit_json(payload, config.out)
     return 0 if all_match else 2
 
 
 def cmd_commutator(config: RunConfig) -> int:
     """Measure the canonical-commutator residual of the solved kernel."""
-    if (config.format or "json") != "json":
-        raise ConfigError("commutator reports are json only")
     if config.x:
         raise ConfigError("key 'x': commutator works at the origin only; x must be 0")
     V = config.potential
@@ -294,14 +291,12 @@ def cmd_commutator(config: RunConfig) -> int:
     payload = residual_report_to_dict(report)
     payload["threshold"] = config.threshold
     payload["passed"] = report.residual < config.threshold
-    _emit(json.dumps(payload, indent=2), config.out)
+    _emit_json(payload, config.out)
     return 0 if payload["passed"] else 2
 
 
 def cmd_weyl_compare(config: RunConfig) -> int:
     """Weyl-quantized classical series vs the kernel's classical term."""
-    if (config.format or "json") != "json":
-        raise ConfigError("weyl-compare reports are json only")
     if config.x:
         raise ConfigError("key 'x': weyl-compare works at the origin only; x must be 0")
     V = config.potential
@@ -325,14 +320,12 @@ def cmd_weyl_compare(config: RunConfig) -> int:
     if not V.is_linear and s_ge_1:
         payload["note"] = "obstruction: s>=1 terms present"
     ok = weyl_equals_classical and (V.is_linear or difference_nonzero)
-    _emit(json.dumps(payload, indent=2), config.out)
+    _emit_json(payload, config.out)
     return 0 if ok else 2
 
 
 def cmd_grid(config: RunConfig) -> int:
     """Write a CSV evaluation grid (kernel values or arrival times)."""
-    if config.format == "json":
-        raise ConfigError("grid emits csv only")
     V = _effective_potential(config)
     qs = np.linspace(config.qmin, config.qmax, config.nq)
     if config.grid_kind == "kernel":
@@ -365,8 +358,6 @@ def cmd_grid(config: RunConfig) -> int:
 
 def cmd_toa(config: RunConfig) -> int:
     """Classical arrival time at one phase point: series, quadrature, margin."""
-    if (config.format or "json") != "json":
-        raise ConfigError("toa reports are json only")
     V = config.potential
     mu = float(config.mu)
     x = float(config.x)
@@ -375,7 +366,7 @@ def cmd_toa(config: RunConfig) -> int:
     series = local_toa(V, config.mu, config.x, config.kmax)
     series_value = series.evaluate(config.q, config.p)
     quad_value = toa_quadrature(V, pt, config.quad_abs_tol)
-    tail = series_tail_bound(V, mu, config.q, x, config.p, config.kmax)
+    tail = series_tail_bound(ratio, mu, config.q, x, config.p, config.kmax)
     # quadrature tolerance plus roundoff; the tail alone can sit below both
     slack = max(100.0 * config.quad_abs_tol, 1e-12)
     verified = converges and abs(series_value - quad_value) <= tail + slack
@@ -392,7 +383,7 @@ def cmd_toa(config: RunConfig) -> int:
         "converges": converges,
         "verified": verified,
     }
-    _emit(json.dumps(payload, indent=2), config.out)
+    _emit_json(payload, config.out)
     return 0 if verified else 2
 
 
@@ -402,7 +393,6 @@ _SAMPLES = {
 # potential: "free" or space-separated degree:coefficient pairs, exact rationals
 potential = 2:1/2
 mu = 1
-hbar = 1
 # arrival point; nonzero x is folded into the potential before solving
 x = 0
 # truncation order (max v-power / 2)
@@ -479,13 +469,14 @@ format = json
 """,
 }
 
+# subcommand -> (command, the formats it writes; the first is its default)
 _COMMANDS = {
-    "kernel": cmd_kernel,
-    "classical-limit": cmd_classical_limit,
-    "commutator": cmd_commutator,
-    "weyl-compare": cmd_weyl_compare,
-    "grid": cmd_grid,
-    "toa": cmd_toa,
+    "kernel": (cmd_kernel, ("json", "csv")),
+    "classical-limit": (cmd_classical_limit, ("json",)),
+    "commutator": (cmd_commutator, ("json",)),
+    "weyl-compare": (cmd_weyl_compare, ("json",)),
+    "grid": (cmd_grid, ("csv",)),
+    "toa": (cmd_toa, ("json",)),
 }
 
 
@@ -498,9 +489,11 @@ def _run_command(name: str, config_path: str | None, out: str | None, fmt: str |
     config = load_config(config_path)
     if out:
         config.out = out
-    if fmt:
-        config.format = fmt
-    return _COMMANDS[name](config)
+    command, formats = _COMMANDS[name]
+    config.format = fmt or config.format or formats[0]
+    if config.format not in formats:
+        raise ConfigError(f"key 'format': {name} writes {' or '.join(formats)} only, not {config.format!r}")
+    return command(config)
 
 
 def _attach(group: click.Group, name: str, func) -> None:
@@ -522,7 +515,7 @@ def cli() -> None:
     commutator, and quadrature verification commands."""
 
 
-for _name, _func in _COMMANDS.items():
+for _name, (_func, _) in _COMMANDS.items():
     _attach(cli, _name, _func)
 
 
@@ -530,9 +523,6 @@ def main(argv=None) -> int:
     """Entry point with the documented exit-code contract (0 / 1 / 2)."""
     try:
         code = cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
     except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1

@@ -31,15 +31,6 @@ from .algebra import GradedKernel, QPoly, Rational, RationalLike
 from .classical_toa import Potential
 
 
-def _sgn(x: float) -> float:
-    """Sign with the symmetric convention sgn(0) = 0."""
-    if x > 0:
-        return 1.0
-    if x < 0:
-        return -1.0
-    return 0.0
-
-
 def default_mmax(degree: int, jmax: int) -> int:
     """Natural u-power bound for a degree-D potential at truncation jmax.
 
@@ -51,23 +42,15 @@ def default_mmax(degree: int, jmax: int) -> int:
 
 @dataclass(frozen=True)
 class KernelRequest:
-    """Inputs for the general solver: potential, mass, truncation orders.
-
-    Mmax defaults to the natural support bound for the potential degree.
-    """
+    """Inputs for the general solver: potential, mass, truncation order."""
 
     V: Potential
     mu: Rational
     Jmax: int
-    Mmax: int | None = None
 
     def __post_init__(self):
         if self.Jmax < 0:
             raise ValueError("Jmax must be >= 0")
-        if self.Mmax is None:
-            object.__setattr__(self, "Mmax", default_mmax(max(self.V.degree, 0), self.Jmax))
-        if self.Mmax < 2 * self.Jmax + 1:
-            raise ValueError("Mmax must be >= 2*Jmax + 1")
         object.__setattr__(self, "mu", Fraction(self.mu))
 
 
@@ -99,7 +82,9 @@ def solve_kernel_general(req: KernelRequest) -> GradedKernel:
     difference term p/q reads layer j-1-r scaled to E = lcm(D_{j-1-r} q) over
     the active terms, and each entry is reduced once, as a Fraction of its
     integer sum over 2 j m E. Only the layers a later layer still reads are
-    kept in numerator form.
+    kept in numerator form. Nothing is cut: by induction over the difference
+    terms every entry of layer j has m <= D*j + 1 for a degree-D potential,
+    inside the recorded default_mmax truncation.
     """
     terms = [(l, r, c.numerator, c.denominator) for l, r, c in _difference_terms(req.V)]
     depth = max((r for _, r, _, _ in terms), default=0) + 1
@@ -112,16 +97,15 @@ def solve_kernel_general(req: KernelRequest) -> GradedKernel:
         for l, r, p, q, (nums, D) in active:
             scale = p * (E // (D * q))
             for (mp, sp), n in nums.items():
-                m = mp + l - 2 * r
-                if m <= req.Mmax:
-                    key = (m, sp + r)
-                    sums[key] = sums.get(key, 0) + scale * n
+                key = (mp + l - 2 * r, sp + r)
+                sums[key] = sums.get(key, 0) + scale * n
         layer = {(m, s): Fraction(t, 2 * j * m * E) for (m, s), t in sorted(sums.items()) if t}
         D = math.lcm(*(c.denominator for c in layer.values()))
         layers.append(({key: c.numerator * (D // c.denominator) for key, c in layer.items()}, D))
         del layers[:-depth]
         table.update(((m, j, s), c) for (m, s), c in layer.items())
-    return GradedKernel.trusted(table, req.mu, (req.Mmax, req.Jmax), potential=req.V.poly)
+    mmax = default_mmax(max(req.V.degree, 0), req.Jmax)
+    return GradedKernel.trusted(table, req.mu, (mmax, req.Jmax), potential=req.V.poly)
 
 
 def solve_kernel_harmonic(muomega: RationalLike, Jmax: int, mu: RationalLike = 1) -> GradedKernel:
@@ -241,24 +225,18 @@ def classical_term(V: Potential, mu: RationalLike, Jmax: int) -> dict[tuple[int,
     }
 
 
-def kernel_eval(K: GradedKernel, q: float, qp, hbar: float):
+def kernel_eval(K: GradedKernel, q, qp, hbar: float):
     """Truncated value of the full kernel <q|T|q'> = (mu/i hbar) T(q,q') sgn(q-q').
 
     Purely imaginary whenever T is real (it is); zero on the diagonal by the
     sgn(0) = 0 convention. q and q' may be numpy arrays that broadcast (a
-    column of points against node rows); the complex array returned then
-    equals the scalar calls element by element.
+    column of points against node rows); points give a complex equal, signed
+    zeros included, to the matching element of an array call.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    if isinstance(q, np.ndarray) or isinstance(qp, np.ndarray):
-        t = K.tvalue(q + qp, q - qp, hbar)
-        return (float(K.mu) / (1j * hbar)) * t * np.sign(q - qp)
-    sg = _sgn(q - qp)
-    if sg == 0.0:
-        return 0j
     t = K.tvalue(q + qp, q - qp, hbar)
-    return (float(K.mu) / (1j * hbar)) * t * sg
+    return (float(K.mu) / (1j * hbar)) * t * np.sign(q - qp)
 
 
 def _residual_monomials(K: GradedKernel, V: Potential) -> Iterator[tuple[int, dict[tuple[int, int, int], Rational]]]:

@@ -31,6 +31,8 @@ _Z_CUTOFF = -90.0
 
 _MAX_TERMS = 800
 
+_SERIES_TOL = 1e-15
+
 # The one quadrature rule: Gauss-Legendre levels pair n with 2n nodes per
 # panel, from (_GL_FIRST, 2 * _GL_FIRST) up to a 2n of _GL_CAP.
 _GL_FIRST = 64
@@ -104,16 +106,14 @@ class QuadSpec:
             raise ValueError("abs_tol must be positive")
 
 
-def hyper0f1(z: float, tol: float = 1e-15) -> float:
+def hyper0f1(z: float) -> float:
     """The confluent limit function 0F1(1; z) = sum_n z^n / (n!)^2.
 
     Summed forward with compensated (Kahan) accumulation, at least 8 terms,
-    stopping once |term| < tol * |partial sum|. Arguments below -90 are
-    rejected: there the alternating sum cancels so much that its error can
-    pass 1e-9 * max(1, |f|), and by -400 the doubles carry no information.
+    stopping once |term| < _SERIES_TOL * |partial sum|. Arguments below -90
+    are rejected: there the alternating sum cancels so much that its error
+    can pass 1e-9 * max(1, |f|), and by -400 the doubles carry no information.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if z < _Z_CUTOFF:
         raise ArgumentTooNegative(f"0F1 argument {z} below cutoff {_Z_CUTOFF}")
     total = 1.0
@@ -125,7 +125,7 @@ def hyper0f1(z: float, tol: float = 1e-15) -> float:
         t = total + y
         comp = (t - total) - y
         total = t
-        if n >= 8 and abs(term) < tol * max(abs(total), 1e-300):
+        if n >= 8 and abs(term) < _SERIES_TOL * max(abs(total), 1e-300):
             return total
     raise NoConvergence(f"0F1 series did not settle within {_MAX_TERMS} terms at z = {z}")
 

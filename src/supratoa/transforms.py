@@ -16,6 +16,11 @@ from .algebra import GradedKernel, MomentumSeries, QPoly, Rational, RationalLike
 from .errors import GradeError
 
 
+def _term_factor(mu: Rational, j: int, e: int) -> Rational:
+    """-2 mu (2j)! (-1)^j (mu/2)^e, the Wigner image of v^(2j) at w-power e."""
+    return -2 * mu * math.factorial(2 * j) * (-1) ** j * (mu / 2) ** e
+
+
 def wigner_transform(K: GradedKernel) -> MomentumSeries:
     """Phase-space series of a kernel table.
 
@@ -25,12 +30,12 @@ def wigner_transform(K: GradedKernel) -> MomentumSeries:
     in p by construction (only p^-(2j+1) powers arise) and hbar enters only
     at even powers 2s.
     """
-    mu = K.mu
+    factors = {(j, s): _term_factor(K.mu, j, j - s) for j, s in {key[1:] for key in K.A}}
+    powers = {m: 2**m for m in {key[0] for key in K.A}}
     polys: dict[tuple[int, int], dict[int, Rational]] = {}
     for (m, j, s), a in K.A.items():
-        c = -2 * mu * math.factorial(2 * j) * (-1) ** j * (mu / 2) ** (j - s) * a * 2**m
         row = polys.setdefault((j, s), {})
-        row[m] = row.get(m, Fraction(0)) + c
+        row[m] = row.get(m, Fraction(0)) + factors[j, s] * a * powers[m]
     return MomentumSeries({key: QPoly(row) for key, row in polys.items()})
 
 
@@ -64,7 +69,7 @@ def weyl_quantize(t: MomentumSeries, mu: RationalLike = 1) -> GradedKernel:
     max_a = 0
     max_k = 0
     for (k, _), poly in t.terms.items():
-        denom_k = -2 * mu * math.factorial(2 * k) * (-1) ** k * (mu / 2) ** k
+        denom_k = _term_factor(mu, k, k)
         for a, c in poly.coeffs.items():
             if a == 0:
                 raise ValueError(

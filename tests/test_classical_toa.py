@@ -139,6 +139,8 @@ class TestQuadrature:
     def test_zero_momentum_rejected(self):
         with pytest.raises(ZeroMomentum):
             toa_quadrature(HARMONIC, PhasePoint(0.2, 0.0))
+        with pytest.raises(ZeroMomentum):
+            series_tail_bound(0.1, 1.0, 0.2, 0.0, 0.0, 12)
 
     def test_classically_forbidden_region_rejected(self):
         V = Potential.from_pairs([(1, 1)])
@@ -172,10 +174,12 @@ class TestSeriesVsQuadrature:
         assert not ok
 
     def test_tail_bound_oracle(self):
-        bound = series_tail_bound(HARMONIC, 1.0, 0.2, 0.0, 1.0, 12)
+        ratio, _ = convergence_margin(HARMONIC, 1.0, 0.2, 0.0, 1.0)
+        bound = series_tail_bound(ratio, 1.0, 0.2, 0.0, 1.0, 12)
         expected = 0.2 * 0.04**13 / 0.96
         assert bound == pytest.approx(expected, rel=1e-12)
-        assert series_tail_bound(HARMONIC, 1.0, 2.0, 0.0, 0.5, 12) == math.inf
+        ratio, _ = convergence_margin(HARMONIC, 1.0, 2.0, 0.0, 0.5)
+        assert series_tail_bound(ratio, 1.0, 2.0, 0.0, 0.5, 12) == math.inf
 
     @pytest.mark.parametrize(
         "V,q,p",
@@ -192,7 +196,7 @@ class TestSeriesVsQuadrature:
         assert ok, f"test point not in the convergent regime (ratio={ratio})"
         series = local_toa(V, 1, 0, 12)
         exact = toa_quadrature(V, PhasePoint(q, p), tol=1e-12)
-        bound = series_tail_bound(V, 1.0, q, 0.0, p, 12)
+        bound = series_tail_bound(ratio, 1.0, q, 0.0, p, 12)
         assert abs(series.evaluate(q, p) - exact) <= bound + 1e-9
 
 
@@ -270,7 +274,7 @@ def assert_scans_match_scalar_loops(V, q, x, p, mu=1.0, K=8):
     assert convergence_margin(V, mu, q, x, p) == (ratio, ratio < 0.5)
     two_r = 2.0 * ratio
     tail = math.inf if two_r >= 1.0 else abs(mu * (q - x) / p) * two_r ** (K + 1) / (1.0 - two_r)
-    assert series_tail_bound(V, mu, q, x, p, K) == tail
+    assert series_tail_bound(ratio, mu, q, x, p, K) == tail
 
     pt = PhasePoint(q, p, x=x, mu=mu)
     message = scalar_access_message(V, pt) if q != x else None

@@ -5,17 +5,22 @@ import hashlib
 import io
 import json
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from supratoa import algebra, cli
+from supratoa import algebra, classical_toa, cli
 from supratoa.classical_toa import _SCAN_POINTS, Potential
 from supratoa.cli import main
 from supratoa.kernel_solver import KernelRequest, kernel_eval, solve_kernel_general, solve_kernel_harmonic
 from supratoa.serialize import kernel_from_dict
 
 COMMANDS = ["kernel", "classical-limit", "commutator", "weyl-compare", "grid", "toa"]
+
+# the formats each subcommand writes, as the README's subcommand table lists them
+WRITES = {"kernel": ("json", "csv"), "grid": ("csv",)}
+REFUSED = [(cmd, fmt) for cmd in COMMANDS for fmt in ("json", "csv") if fmt not in WRITES.get(cmd, ("json",))]
 
 # barrier peak at q = 8193/16384, between two points of the accessibility
 # scan; p puts H 1e-3 below the peak at q = 1
@@ -162,11 +167,19 @@ class TestConfigErrors:
         assert not out
         assert f"key {key!r}: not a finite number" in err
 
-    def test_json_grid_rejected(self, tmp_path):
-        path = write_config(tmp_path, "grid_kind = kernel\npotential = free\nformat = json\n")
-        code, _, err = invoke(["grid", "--config", path])
+    @pytest.mark.parametrize("cmd, fmt", REFUSED)
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_unwritten_format_refused(self, tmp_path, cmd, fmt, where):
+        _, seed_text, _ = invoke([cmd, "--seed-config"])
+        if where == "config":
+            path = write_config(tmp_path, re.sub("^format = .*$", f"format = {fmt}", seed_text, flags=re.M))
+            args = [cmd, "--config", path]
+        else:
+            args = [cmd, "--config", write_config(tmp_path, seed_text), "--format", fmt]
+        code, out, err = invoke(args)
         assert code == 1
-        assert "csv" in err
+        assert not out
+        assert f"{cmd} writes" in err and repr(fmt) in err
 
 
 class TestKernelCommand:
@@ -440,6 +453,19 @@ class TestToaCommand:
         assert code == 0
         assert MAX_POLY_CALLS < _SCAN_POINTS
         assert 0 < poly_calls[0] <= MAX_POLY_CALLS
+
+    def test_job_scans_for_extrema_once(self, tmp_path, monkeypatch):
+        calls = []
+        scan = classical_toa._extremum_candidates
+
+        def counted(*args):
+            calls.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(classical_toa, "_extremum_candidates", counted)
+        code, _, _ = invoke(["toa", "--config", write_config(tmp_path, self.LADDER_AT_THIRD)])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_forbidden_point_exits_two(self, tmp_path):
         path = write_config(tmp_path, "potential = 1:1\nq = 0\np = 1\nx = 3\n")

@@ -37,8 +37,8 @@ potentials = st.dictionaries(st.integers(0, 6), params, max_size=7).map(
 )
 
 
-def general(V, mu, jmax, mmax=None):
-    return solve_kernel_general(KernelRequest(V, mu, jmax, mmax))
+def general(V, mu, jmax):
+    return solve_kernel_general(KernelRequest(V, mu, jmax))
 
 
 def full_residual(K, V):
@@ -64,14 +64,13 @@ class TestRequest:
         assert default_mmax(2, 6) == 13
         assert default_mmax(4, 6) == 25
         assert default_mmax(1, 6) == 13  # clamped to 2*Jmax + 1
-        req = KernelRequest(HARMONIC, 1, 6)
-        assert req.Mmax == 13
+        assert general(HARMONIC, 1, 6).truncation == (13, 6)
+        assert general(QUARTIC, 1, 6).truncation == (25, 6)
+        assert general(Potential.free(), 1, 6).truncation == (13, 6)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             KernelRequest(HARMONIC, 1, -1)
-        with pytest.raises(ValueError):
-            KernelRequest(HARMONIC, 1, 3, Mmax=5)  # below 2*Jmax + 1
 
 
 class TestSeedAndHandValues:
@@ -127,13 +126,13 @@ class TestCrossPathEquality:
         # chain convention: V = a q + (b/2) q^2
         a, b = F(1, 2), F(2, 5)
         V = Potential.from_pairs([(1, a), (2, b / 2)])
-        assert general(V, 1, 5, mmax=11) == solve_kernel_linear(a, b, 1, 5)
+        assert general(V, 1, 5) == solve_kernel_linear(a, b, 1, 5)
 
     @given(params, params)
     @settings(max_examples=25, deadline=None)
     def test_general_matches_linear_chain_random(self, a, b):
         V = Potential.from_pairs([(1, a), (2, b / 2)])
-        assert general(V, 1, 4, mmax=9) == solve_kernel_linear(a, b, 1, 4)
+        assert general(V, 1, 4) == solve_kernel_linear(a, b, 1, 4)
 
 
 class TestStructure:
@@ -142,7 +141,7 @@ class TestStructure:
         assert K.max_grade() == 0
 
     def test_quartic_support_pattern(self):
-        K = general(QUARTIC, 1, 10, mmax=41)
+        K = general(QUARTIC, 1, 10)
         rows = {}
         for (m, j, s), _ in K.items():
             rows.setdefault(2 * j, set()).add(m)
@@ -206,8 +205,12 @@ class TestKernelEval:
         K = general(QUARTIC, F(3, 2), 8)
         qp = np.array([-0.7, -0.2, 0.3, 0.31, 0.9])
         values = kernel_eval(K, 0.3, qp, 0.8)
-        assert values.tolist() == [kernel_eval(K, 0.3, x, 0.8) for x in qp.tolist()]
+        points = [kernel_eval(K, 0.3, x, 0.8) for x in qp.tolist()]
+        assert values.tolist() == points
         assert values[2] == 0
+        # each point is a complex with its element's bits, signed zeros included
+        assert all(type(value) is complex for value in points)
+        assert np.array(points).view(np.uint64).tolist() == values.view(np.uint64).tolist()
 
     def test_hbar_must_be_positive(self):
         K = general(Potential.free(), 1, 0)
@@ -343,25 +346,31 @@ class TestUngradedDebugRoute:
     def test_matches_graded_solver(self):
         for V in (HARMONIC, QUARTIC):
             jmax = 5
-            mmax = default_mmax(V.degree, jmax)
-            K = general(V, 1, jmax, mmax=mmax)
-            table = solve_kernel_ungraded(V, 2 * jmax, mmax)
+            K = general(V, 1, jmax)
+            table = solve_kernel_ungraded(V, 2 * jmax, default_mmax(V.degree, jmax))
             rebuilt = {}
             for (m, j, s), c in K.items():
                 rebuilt.setdefault((m, 2 * j), {})[j - s] = c
             assert table == rebuilt
 
-    @given(potentials, st.integers(0, 6), st.sampled_from(["floor", "default", "above"]))
+    @given(potentials, st.integers(0, 6))
     @settings(max_examples=40, deadline=None)
-    def test_push_solver_matches_dense_reference(self, V, jmax, cut):
-        default = default_mmax(max(V.degree, 0), jmax)
-        mmax = {"floor": 2 * jmax + 1, "default": None, "above": default + 3}[cut]
-        K = general(V, 1, jmax, mmax=mmax)
+    def test_push_solver_matches_dense_reference(self, V, jmax):
+        K = general(V, 1, jmax)
         table = solve_kernel_ungraded(V, 2 * jmax, K.truncation[0])
         rebuilt = {}
         for (m, j, s), c in K.items():
             rebuilt.setdefault((m, 2 * j), {})[j - s] = c
         assert table == rebuilt
+
+    @given(potentials, st.integers(0, 10))
+    @settings(max_examples=40, deadline=None)
+    def test_entries_stay_inside_the_default_truncation(self, V, jmax):
+        # the solver cuts no u-power: layer j of a degree-D table ends at D j + 1
+        degree = max(V.degree, 0)
+        K = general(V, 1, jmax)
+        assert all(m <= max(degree * j + 1, 2 * j + 1) for m, j, _ in K.A)
+        assert K.truncation == (max(degree * jmax + 1, 2 * jmax + 1), jmax)
 
     @given(potentials, params, params)
     @settings(max_examples=40, deadline=None)

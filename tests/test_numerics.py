@@ -149,10 +149,6 @@ class TestHyper0f1:
         with pytest.raises(NoConvergence):
             hyper0f1(1e7)
 
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            hyper0f1(1.0, tol=0.0)
-
 
 class TestIntegralForm:
     def test_free_particle_is_exact(self):
