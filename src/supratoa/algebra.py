@@ -42,7 +42,7 @@ def parse_rational(text: str) -> Rational:
 
 def format_rational(r: RationalLike) -> str:
     """Render a rational as "num/den", or "num" when the denominator is 1."""
-    return str(Fraction(r))
+    return str(r if isinstance(r, Fraction) else Fraction(r))
 
 
 class QPoly:
@@ -72,6 +72,18 @@ class QPoly:
                     table.pop(deg, None)
         self.coeffs = table
         self._float_terms: tuple[tuple[int, float], ...] | None = None
+
+    @classmethod
+    def trusted(cls, table: dict[int, Rational]) -> "QPoly":
+        """A table of nonzero Fractions at degrees >= 0, taken as it is.
+
+        The dict is neither copied nor checked, and its insertion order is
+        kept: for arithmetic that builds the table itself. Every other
+        caller goes through __init__.
+        """
+        poly = cls()
+        poly.coeffs = table
+        return poly
 
     @classmethod
     def zero(cls) -> "QPoly":
@@ -119,9 +131,7 @@ class QPoly:
                 table[d] = acc
             else:
                 table.pop(d, None)
-        out = QPoly()
-        out.coeffs.update(table)
-        return out
+        return QPoly.trusted(table)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         return self + (-other)
@@ -137,9 +147,7 @@ class QPoly:
                         table[d] = acc
                     else:
                         table.pop(d, None)
-            out = QPoly()
-            out.coeffs.update(table)
-            return out
+            return QPoly.trusted(table)
         scale = Fraction(other)
         if not scale:
             return QPoly()
@@ -165,20 +173,31 @@ class QPoly:
         terms, converted on the first float evaluation. The zero polynomial
         gives 0.0 at a float and zeros of x's shape on an array.
         """
+        if type(x) is float:
+            # the loop below with power = pow, without the type dispatch
+            total = 0.0
+            for d, c in self._floats():
+                total += c * x**d
+            return total
         if isinstance(x, (Fraction, int)):
             total = Fraction(0)
             for d, c in self.coeffs.items():
                 total += c * x**d
             return total
-        if self._float_terms is None:
-            self._float_terms = tuple((d, float(c)) for d, c in self.coeffs.items())
-        if not self._float_terms:
+        terms = self._floats()
+        if not terms:
             return np.zeros(x.shape) if isinstance(x, np.ndarray) else 0.0
         power = _power_fn(x)
         total = 0.0
-        for d, c in self._float_terms:
+        for d, c in terms:
             total += c * power(x, d)
         return total
+
+    def _floats(self) -> tuple[tuple[int, float], ...]:
+        """The (degree, float coefficient) terms, converted on the first call."""
+        if self._float_terms is None:
+            self._float_terms = tuple((d, float(c)) for d, c in self.coeffs.items())
+        return self._float_terms
 
     def __repr__(self) -> str:
         if not self.coeffs:

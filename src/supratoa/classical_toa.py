@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import MomentumSeries, QPoly, Rational, RationalLike, poly_antideriv, poly_shift
+from .algebra import MomentumSeries, QPoly, Rational, RationalLike, poly_shift
 from .errors import NotAccessible, QuadratureFailure, ZeroMomentum
 
 # Interior margin for the accessibility guard: the inverse-square-root
@@ -123,16 +123,67 @@ def toa_iterate_closed(V: Potential, mu: RationalLike, k: int, x: RationalLike =
 
 
 def _liouville_iterates(V: Potential, mu: Fraction, x: Fraction):
-    """P_0, P_1, ... of the Liouville-type iteration, without end."""
-    vprime = V.poly.derivative()
-    current = QPoly({1: -mu}) + QPoly.constant(mu * x)  # seed -mu (q - x)
+    """P_0, P_1, ... of the Liouville-type iteration, without end.
+
+    Each P_k is yielded as (numerators, denominator): a dict degree ->
+    nonzero integer numerator over one common positive denominator, reduced
+    by the gcd of all of them. The step P_k = (2k-1) mu int_x^q V' P_{k-1}
+    runs on integers: V' P_{k-1} is an integer convolution, the
+    antiderivative scales by the lcm of its divisors, and the value at
+    x = a/b is Horner's scheme on integers scaled by b^E, E the top degree.
+    The degrees come in the order QPoly arithmetic gives them (its product
+    loop, a cancelled degree dropped and re-entered at the end, then the
+    constant -anti(x) last), so the polynomials equal the QPoly route's
+    coefficient for coefficient and in insertion order, and float sums over
+    their terms are unchanged.
+    """
+    terms = [(d, c) for d, c in V.poly.coeffs.items() if d >= 1]
+    vp_den = math.lcm(*(c.denominator for _, c in terms))
+    vp = [(d - 1, d * c.numerator * (vp_den // c.denominator)) for d, c in terms]
+    mu_n, mu_d = mu.numerator, mu.denominator
+    a, b = x.numerator, x.denominator
+
+    # the seed -mu (q - x), over mu_d b
+    nums = {d: n for d, n in ((1, -mu_n * b), (0, mu_n * a)) if n}
+    den = mu_d * b
     k = 0
     while True:
-        yield current
+        g = math.gcd(den, *nums.values())
+        if g > 1:
+            nums = {d: n // g for d, n in nums.items()}
+            den //= g
+        yield nums, den
         k += 1
-        anti = poly_antideriv(vprime * current)
-        integral = anti - QPoly.constant(anti(x))
-        current = integral * (Fraction(2 * k - 1) * mu)
+        prod: dict[int, int] = {}
+        for d1, c1 in vp:
+            for d2, c2 in nums.items():
+                d = d1 + d2
+                acc = prod.get(d, 0) + c1 * c2
+                if acc:
+                    prod[d] = acc
+                else:
+                    prod.pop(d, None)
+        lcm = math.lcm(*(d + 1 for d in prod))
+        anti = {d + 1: c * (lcm // (d + 1)) for d, c in prod.items()}
+        den *= vp_den * lcm * mu_d
+        step = (2 * k - 1) * mu_n
+        at_x, bpow = 0, 1
+        if a and anti:
+            # b^top anti(a/b), by Horner's scheme on integers
+            for e in range(max(anti), -1, -1):
+                at_x = at_x * a + anti.get(e, 0) * bpow
+                bpow *= b
+            bpow //= b
+            den *= bpow
+        scale = step * bpow
+        nums = {e: c * scale for e, c in anti.items()}
+        if at_x:
+            nums[0] = -at_x * step
+
+
+def _iterate_poly(nums: dict[int, int], den: int, sign: int = 1) -> QPoly:
+    """The QPoly sign * nums / den: one Fraction per coefficient, order kept."""
+    return QPoly.trusted({d: Fraction(sign * n, den) for d, n in nums.items()})
 
 
 def toa_iterate_liouville(V: Potential, mu: RationalLike, k: int, x: RationalLike = 0) -> QPoly:
@@ -145,7 +196,8 @@ def toa_iterate_liouville(V: Potential, mu: RationalLike, k: int, x: RationalLik
     """
     if k < 0:
         raise ValueError("iterate index must be >= 0")
-    return next(itertools.islice(_liouville_iterates(V, Fraction(mu), Fraction(x)), k, None))
+    nums, den = next(itertools.islice(_liouville_iterates(V, Fraction(mu), Fraction(x)), k, None))
+    return _iterate_poly(nums, den)
 
 
 def local_toa(V: Potential, mu: RationalLike, x: RationalLike, K: int) -> MomentumSeries:
@@ -158,9 +210,9 @@ def local_toa(V: Potential, mu: RationalLike, x: RationalLike, K: int) -> Moment
     if K < 0:
         raise ValueError("series order must be >= 0")
     terms = {}
-    for k, current in zip(range(K + 1), _liouville_iterates(V, Fraction(mu), Fraction(x))):
-        if current:
-            terms[(k, 0)] = current * (-1) ** k
+    for k, (nums, den) in zip(range(K + 1), _liouville_iterates(V, Fraction(mu), Fraction(x))):
+        if nums:
+            terms[(k, 0)] = _iterate_poly(nums, den, (-1) ** k)
     return MomentumSeries(terms)
 
 

@@ -149,8 +149,12 @@ _TYPE_PARSERS = {
 _PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
 
 
-def parse_config_text(text: str) -> RunConfig:
-    """Parse the flat key = value config format into a validated RunConfig."""
+def parse_config_text(text: str, command: str) -> RunConfig:
+    """Parse the flat key = value config format into a validated RunConfig.
+
+    A key the subcommand never reads is refused, like an unknown one.
+    """
+    keys = _COMMANDS[command][2]
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -162,6 +166,8 @@ def parse_config_text(text: str) -> RunConfig:
         parser = _PARSERS.get(key)
         if parser is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key not in keys:
+            raise ConfigError(f"line {lineno}: key {key!r} has no effect on {command}")
         values[key] = parser(key, raw)
     config = RunConfig(**values)
     _validate(config)
@@ -187,13 +193,13 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("grid point counts must be >= 1")
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, command: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return parse_config_text(text)
+    return parse_config_text(text, command)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -469,14 +475,25 @@ format = json
 """,
 }
 
-# subcommand -> (command, the formats it writes; the first is its default)
+# the keys every subcommand reads
+_COMMON_KEYS = {"potential", "mu", "x", "format", "out"}
+# both grid kinds' keys: the grid sample carries them all
+_GRID_KEYS = {
+    "grid_kind", "hbar", "jmax", "qmin", "qmax", "nq", "qpmin", "qpmax", "nqp", "pmin", "pmax", "np", "quad_abs_tol",
+}
+_COMMUTATOR_KEYS = {
+    "hbar", "jmax", "quad_abs_tol", "threshold", "phi_center", "phi_halfwidth", "psi_center", "psi_halfwidth",
+}
+
+# subcommand -> (command, the formats it writes, the first its default, and
+# the config keys it reads; commutator and weyl-compare read x to refuse it)
 _COMMANDS = {
-    "kernel": (cmd_kernel, ("json", "csv")),
-    "classical-limit": (cmd_classical_limit, ("json",)),
-    "commutator": (cmd_commutator, ("json",)),
-    "weyl-compare": (cmd_weyl_compare, ("json",)),
-    "grid": (cmd_grid, ("csv",)),
-    "toa": (cmd_toa, ("json",)),
+    "kernel": (cmd_kernel, ("json", "csv"), _COMMON_KEYS | {"jmax"}),
+    "classical-limit": (cmd_classical_limit, ("json",), _COMMON_KEYS | {"jmax", "kmax"}),
+    "commutator": (cmd_commutator, ("json",), _COMMON_KEYS | _COMMUTATOR_KEYS),
+    "weyl-compare": (cmd_weyl_compare, ("json",), _COMMON_KEYS | {"kmax"}),
+    "grid": (cmd_grid, ("csv",), _COMMON_KEYS | _GRID_KEYS),
+    "toa": (cmd_toa, ("json",), _COMMON_KEYS | {"q", "p", "kmax", "quad_abs_tol"}),
 }
 
 
@@ -486,10 +503,10 @@ def _run_command(name: str, config_path: str | None, out: str | None, fmt: str |
         return 0
     if not config_path:
         raise ConfigError("--config FILE is required (or use --seed-config)")
-    config = load_config(config_path)
+    config = load_config(config_path, name)
     if out:
         config.out = out
-    command, formats = _COMMANDS[name]
+    command, formats, _ = _COMMANDS[name]
     config.format = fmt or config.format or formats[0]
     if config.format not in formats:
         raise ConfigError(f"key 'format': {name} writes {' or '.join(formats)} only, not {config.format!r}")
@@ -515,7 +532,7 @@ def cli() -> None:
     commutator, and quadrature verification commands."""
 
 
-for _name, (_func, _) in _COMMANDS.items():
+for _name, (_func, _, _) in _COMMANDS.items():
     _attach(cli, _name, _func)
 
 

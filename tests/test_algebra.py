@@ -40,6 +40,24 @@ class TestRational:
         for r in (F(-3, 4), F(5), F(0), F(22, 7)):
             assert parse_rational(format_rational(r)) == r
 
+    def test_format_takes_a_fraction_as_it_is(self, monkeypatch):
+        cases = [F(-3, 4), F(5), F(0), F(22, 7), F(10**30 + 1, 3)]
+        expected = ["-3/4", "5", "0", "22/7", f"{10**30 + 1}/3"]
+        construct = vars(F)["__new__"].__func__
+        made = [0]
+
+        def counted(cls, *args, **kwargs):
+            made[0] += 1
+            return construct(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", staticmethod(counted))
+        out = [format_rational(r) for r in cases]
+        monkeypatch.undo()
+        assert out == expected
+        assert made[0] == 0
+        assert format_rational(7) == "7"
+        assert format_rational("-4/6") == "-2/3"
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_rational("one half")
@@ -73,6 +91,19 @@ class TestQPoly:
         p = QPoly({2: F(1, 2), 0: 1})
         assert p(F(1, 3)) == F(19, 18)
         assert p(2.0) == pytest.approx(3.0)
+
+    @given(polys, st.floats(min_value=-1e3, max_value=1e3))
+    @settings(max_examples=60)
+    def test_float_point_is_the_term_loop(self, p, x):
+        # the same IEEE operations in the same order as the loop over the
+        # float terms with pow, and as one element of an array evaluation
+        total = 0.0
+        for d, c in p.coeffs.items():
+            total += float(c) * pow(x, d)
+        value = p(x)
+        assert type(value) is float
+        assert np.array(value).tobytes() == np.array(total).tobytes()
+        assert np.array(value).tobytes() == p(np.array([x]))[0].tobytes()
 
     def test_shift_identity_and_binomial(self):
         assert poly_shift(QPoly({2: 1}), 0) == QPoly({2: 1})

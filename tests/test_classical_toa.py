@@ -1,14 +1,16 @@
 """Classical arrival-time series: iterates, dual routes, quadrature oracle."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supratoa.algebra import QPoly
+from supratoa import classical_toa
+from supratoa.algebra import QPoly, poly_antideriv
 from supratoa.classical_toa import (
     _ACCESS_MARGIN,
     _SCAN_POINTS,
@@ -113,6 +115,95 @@ class TestLocalSeries:
         series = local_toa(V, 1, 0, 4)
         for k in range(5):
             assert series.term(k, 0) == toa_iterate_closed(V, 1, k) * (-1) ** k
+
+
+# The QPoly-arithmetic iteration that the integer route replaced, kept as its
+# reference: local_toa must give == terms, with the keys and each
+# polynomial's coefficients in the same order (float sums over a
+# polynomial's terms follow that order).
+def qpoly_liouville_iterates(V, mu, x):
+    vprime = V.poly.derivative()
+    current = QPoly({1: -mu}) + QPoly.constant(mu * x)
+    k = 0
+    while True:
+        yield current
+        k += 1
+        anti = poly_antideriv(vprime * current)
+        integral = anti - QPoly.constant(anti(x))
+        current = integral * (F(2 * k - 1) * mu)
+
+
+def qpoly_local_toa(V, mu, x, K):
+    terms = {}
+    for k, current in zip(range(K + 1), qpoly_liouville_iterates(V, F(mu), F(x))):
+        if current:
+            terms[(k, 0)] = current * (-1) ** k
+    return terms
+
+
+def assert_same_terms(series, reference):
+    assert list(series.terms) == list(reference)
+    for key, poly in reference.items():
+        coeffs = series.terms[key].coeffs
+        assert list(coeffs.items()) == list(poly.coeffs.items())
+        assert all(type(c) is F and c != 0 for c in coeffs.values())
+
+
+class TestIntegerIterates:
+    @given(
+        st.dictionaries(st.integers(min_value=0, max_value=7), params, max_size=5),
+        params,
+        params,
+        st.integers(min_value=0, max_value=8),
+    )
+    @example({}, F(3, 2), F(1, 3), 4)  # free particle
+    @example({0: F(5, 3)}, F(1, 2), F(-2), 3)  # constant only
+    @example({4: F(1, 3), 1: F(-1, 2)}, F(2), F(3, 4), 0)  # K = 0
+    @example({2: F(1), 1: F(-2)}, F(1), F(-1), 3)  # V' P_0 = -2 (q^2 - 1): the q term cancels
+    @example({4: F(3), 2: F(2, 3), 1: F(-1)}, F(1), F(-1, 2), 4)  # a cancelled degree comes back
+    @settings(max_examples=60, deadline=None)
+    def test_equals_qpoly_iteration(self, coeffs, mu, x, K):
+        V = Potential.from_pairs(coeffs.items())
+        reference = qpoly_local_toa(V, mu, x, K)
+        assert_same_terms(local_toa(V, mu, x, K), reference)
+        last = toa_iterate_liouville(V, mu, K, x=x)
+        expected = next(itertools.islice(qpoly_liouville_iterates(V, F(mu), F(x)), K, None))
+        assert list(last.coeffs.items()) == list(expected.coeffs.items())
+
+    def test_zero_mass_gives_empty_series(self):
+        for V in (HARMONIC, Potential.from_pairs([(4, 1), (1, F(1, 2))])):
+            for x in (0, F(1, 2)):
+                assert local_toa(V, 0, x, 6).terms == {}
+                assert toa_iterate_liouville(V, 0, 3, x=x).coeffs == {}
+
+    def test_no_zero_is_stored(self):
+        # V' = q - 1/2 and x = 3/2: int_x^q V' P_0 vanishes at q = 0, so P_1
+        # has no constant term
+        V = Potential.from_pairs([(2, F(1, 2)), (1, F(-1, 2))])
+        P1 = toa_iterate_liouville(V, 1, 1, x=F(3, 2))
+        assert list(P1.coeffs.items()) == [(3, F(-1, 3)), (2, F(1)), (1, F(-3, 4))]
+        assert list(local_toa(V, 1, F(3, 2), 1).term(1, 0).coeffs) == [3, 2, 1]
+        # V' = 2 (q - 1) against P_0 = -(q + 1): the q term of the product
+        # cancels, so P_1 has no q^2 term
+        V = Potential.from_pairs([(2, 1), (1, -2)])
+        assert list(toa_iterate_liouville(V, 1, 1, x=-1).coeffs) == [3, 1, 0]
+
+    def test_one_fraction_per_coefficient(self, monkeypatch):
+        # a work count: the QPoly route made 5,316 Fractions for these 260 coefficients
+        construct = vars(classical_toa.Fraction)["__new__"].__func__
+        made = [0]
+
+        def counted(cls, *args, **kwargs):
+            made[0] += 1
+            return construct(cls, *args, **kwargs)
+
+        V = Potential.from_pairs([(2, F(1, 3)), (4, F(-1, 7))])
+        monkeypatch.setattr(classical_toa.Fraction, "__new__", staticmethod(counted))
+        series = local_toa(V, 1, F(1, 10), 12)
+        monkeypatch.undo()
+        coefficients = sum(len(poly.coeffs) for poly in series.terms.values())
+        assert coefficients == 260
+        assert made[0] <= coefficients + 4
 
 
 class TestQuadrature:

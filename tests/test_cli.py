@@ -135,6 +135,35 @@ class TestConfigErrors:
         assert code == 1
         assert "series_tol" in err
 
+    @pytest.mark.parametrize(
+        "cmd, key, value",
+        [
+            ("kernel", "hbar", "5"),
+            ("kernel", "kmax", "3"),
+            ("kernel", "threshold", "4"),
+            ("kernel", "nq", "7"),
+            ("weyl-compare", "jmax", "2"),
+            ("weyl-compare", "hbar", "3"),
+            ("classical-limit", "q", "1/2"),
+            ("commutator", "kmax", "4"),
+            ("toa", "jmax", "4"),
+            ("grid", "kmax", "4"),
+        ],
+    )
+    def test_unread_key_refused(self, tmp_path, cmd, key, value):
+        _, seed_text, _ = invoke([cmd, "--seed-config"])
+        path = write_config(tmp_path, f"{seed_text}{key} = {value}\n")
+        code, out, err = invoke([cmd, "--config", path])
+        assert code == 1
+        assert not out
+        assert f"key {key!r} has no effect on {cmd}" in err
+
+    def test_grid_reads_both_kinds_keys(self, tmp_path):
+        text = "grid_kind = toa\npotential = 2:1/2\nhbar = 2\njmax = 3\nqpmin = 0\nnqp = 2\nnq = 2\nnp = 2\n"
+        code, out, _ = invoke(["grid", "--config", write_config(tmp_path, text)])
+        assert code == 0
+        assert out.startswith("q,p,toa\n")
+
     @pytest.mark.parametrize("mu", ["0", "-1/2"])
     def test_nonpositive_mass_rejected(self, tmp_path, mu):
         path = write_config(tmp_path, f"potential = 2:1/2\nmu = {mu}\n")
@@ -376,7 +405,7 @@ class TestGridCommand:
     def test_toa_grid_values_are_finite_in_region(self, tmp_path):
         path = write_config(
             tmp_path,
-            "grid_kind = toa\npotential = 2:1/2\nkmax = 10\n"
+            "grid_kind = toa\npotential = 2:1/2\n"
             "qmin = 0.1\nqmax = 0.3\nnq = 3\npmin = 1\npmax = 2\nnp = 3\nformat = csv\n",
         )
         code, out, err = invoke(["grid", "--config", path])
