@@ -196,7 +196,7 @@ class QPoly:
     def _floats(self) -> tuple[tuple[int, float], ...]:
         """The (degree, float coefficient) terms, converted on the first call."""
         if self._float_terms is None:
-            self._float_terms = tuple((d, float(c)) for d, c in self.coeffs.items())
+            self._float_terms = tuple((d, c.numerator / c.denominator) for d, c in self.coeffs.items())
         return self._float_terms
 
     def __repr__(self) -> str:

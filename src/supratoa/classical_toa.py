@@ -10,8 +10,10 @@ agree with direct quadrature of the equations of motion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +27,17 @@ from .errors import NotAccessible, QuadratureFailure, ZeroMomentum
 # integrand is only evaluated where H - V > margin * max(1, |H|).
 _ACCESS_MARGIN = 1e-12
 
-_SCAN_POINTS = 4096
+
+def _finite(name: str, f, *args):
+    """f(*args), or QuadratureFailure naming the quantity when it overflows."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = f(*args)
+    except (OverflowError, np.linalg.LinAlgError):  # LinAlgError: inf in np.roots' companion matrix
+        value = math.inf
+    if not np.isfinite(value).all():
+        raise QuadratureFailure(f"{name} is beyond the float range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -60,6 +72,21 @@ class Potential:
 
     def value(self, q):
         return self.poly(q)
+
+    @functools.cached_property
+    def critical_points(self) -> np.ndarray:
+        """The real part of every complex root of V', solved once per potential.
+
+        A superset of V's real critical points up to eigenvalue error: no
+        root is dropped for its imaginary part, and callers clip the points
+        to their interval, where an extra point is harmless.
+        """
+        vp = self.poly.derivative()
+        top = vp.degree()
+        dense = np.zeros(top + 1)
+        for d, c in vp.coeffs.items():
+            dense[top - d] = _finite(f"V' coefficient of q^{d}", operator.truediv, c.numerator, c.denominator)
+        return _finite("a ratio of V' coefficients", np.roots, dense).real
 
 
 @dataclass(frozen=True)
@@ -220,14 +247,16 @@ def _interval(a: float, b: float) -> tuple[float, float]:
     return (a, b) if a <= b else (b, a)
 
 
-def _scan_grid(lo: float, hi: float) -> np.ndarray:
-    """The scan points lo + (hi - lo) * i / n, i = 0..n, n = _SCAN_POINTS.
+def _critical_values(V: Potential, x: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """The points x, q and V's critical points clipped to [x, q], and V there.
 
-    Each element takes the same IEEE operations, in the same order, as the
-    scalar expression, so it is == to it.
+    The extrema of V on the interval lie among these points. Raises
+    QuadratureFailure when V is beyond the float range at one of them.
     """
-    n = _SCAN_POINTS
-    return lo + (hi - lo) * np.arange(n + 1, dtype=float) / n
+    lo, hi = _interval(x, q)
+    points = np.concatenate(([x, q], np.clip(V.critical_points, lo, hi)))
+    values = _finite(f"V on [{lo:.6g}, {hi:.6g}]", V.value, points)
+    return points, values
 
 
 def toa_quadrature(V: Potential, pt: PhasePoint, tol: float = 1e-10) -> float:
@@ -235,25 +264,27 @@ def toa_quadrature(V: Potential, pt: PhasePoint, tol: float = 1e-10) -> float:
 
     Evaluates -sgn(p) sqrt(mu/2) * integral_x^q dq' / sqrt(H - V(q')) with
     H the conserved energy of pt. Serves as the independent oracle for the
-    series inside its convergence region.
+    series inside its convergence region. The trajectory reaches x iff
+    H - V > _ACCESS_MARGIN * max(1, |H|) at x, q and every critical point of
+    V between them; otherwise NotAccessible names the lowest such point.
     """
-    if pt.p == 0:
-        raise ZeroMomentum("time of arrival undefined at p = 0")
+    if pt.p * pt.p == 0:
+        raise ZeroMomentum(f"time of arrival undefined at p^2 = 0 (p = {pt.p!r})")
     q, x = float(pt.q), float(pt.x)
     if q == x:
         return 0.0
-    energy = pt.energy(V)
-    lo, hi = _interval(x, q)
+    points, values = _critical_values(V, x, q)
+    energy = _finite("H = p^2/(2 mu) + V(q)", pt.energy, V)
 
-    # Strict accessibility: H - V must stay positive on the whole interval.
     margin = _ACCESS_MARGIN * max(1.0, abs(energy))
-    grid = _scan_grid(lo, hi)
-    blocked = energy - V.value(grid) <= margin
-    if blocked.any():
-        raise NotAccessible(f"H - V <= 0 near q' = {float(grid[blocked.argmax()]):.6g}")
+    gaps = energy - values
+    k = int(gaps.argmin())
+    if gaps[k] <= margin:
+        raise NotAccessible(f"H - V = {gaps[k]:.3g} <= {margin:.3g} at q' = {points[k]:.6g}")
 
     def integrand(qp: float) -> float:
-        # the scan can miss a barrier narrower than its spacing
+        # H - V is checked at the critical points only; between them float
+        # rounding can still reach 0, where math.sqrt would raise ValueError
         kinetic = energy - V.value(qp)
         if kinetic <= 0:
             raise NotAccessible(f"H - V <= 0 at q' = {qp:.6g}")
@@ -270,53 +301,17 @@ def toa_quadrature(V: Potential, pt: PhasePoint, tol: float = 1e-10) -> float:
     return -sgn_p * math.sqrt(pt.mu / 2.0) * value
 
 
-def _extremum_candidates(V: Potential, lo: float, hi: float) -> list[float]:
-    """Endpoints plus polished interior roots of V' (4096-point scan + Newton).
-
-    Scan interval k runs from point k to point k + 1. It is a hit when V'
-    vanishes at either end or changes sign; a zero at its left end is taken
-    as it is, any other hit is polished by Newton from the midpoint.
-    Candidates come in the order of the intervals.
-    """
-    candidates = [lo, hi]
-    vp = V.poly.derivative()
-    vpp = vp.derivative()
-    if vp.is_zero() or lo == hi:
-        return candidates
-    grid = _scan_grid(lo, hi)
-    f = vp(grid)
-    left, right = f[:-1], f[1:]
-    hits = (left == 0.0) | (right == 0.0) | ((left < 0.0) != (right < 0.0))
-    for k in np.flatnonzero(hits).tolist():
-        prev_q, qi = float(grid[k]), float(grid[k + 1])
-        if f[k] == 0.0:
-            candidates.append(prev_q)
-        else:
-            root = 0.5 * (prev_q + qi)
-            for _ in range(30):
-                d = vpp(root)
-                if d == 0.0:
-                    break
-                step = vp(root) / d
-                root -= step
-                if abs(step) < 1e-15 * max(1.0, abs(root)):
-                    break
-            if lo <= root <= hi:
-                candidates.append(root)
-    return candidates
-
-
 def convergence_margin(V: Potential, mu: float, q: float, x: float, p: float) -> tuple[float, bool]:
     """Convergence criterion of the local series: (ratio, ratio < 1/2).
 
     ratio = mu * M_q / p^2 with M_q = max |V(q) - V(q')| over the interval
-    between x and q. The series converges absolutely iff ratio < 1/2.
+    between x and q, taken over x, q and the critical points of V between
+    them. The series converges absolutely iff ratio < 1/2.
     """
-    if p == 0:
-        raise ZeroMomentum("convergence ratio undefined at p = 0")
-    lo, hi = _interval(float(x), float(q))
-    vq = V.value(float(q))
-    m_q = max(abs(vq - V.value(c)) for c in _extremum_candidates(V, lo, hi))
+    if p * p == 0:
+        raise ZeroMomentum(f"convergence ratio undefined at p^2 = 0 (p = {p!r})")
+    _, values = _critical_values(V, float(x), float(q))
+    m_q = float(np.max(np.abs(values[1] - values)))
     ratio = float(mu) * m_q / (p * p)
     return ratio, ratio < 0.5
 

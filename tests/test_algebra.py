@@ -1,11 +1,12 @@
 """Exact-arithmetic substrate: rationals, polynomials, series containers."""
 
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supratoa.algebra import (
@@ -104,6 +105,27 @@ class TestQPoly:
         assert type(value) is float
         assert np.array(value).tobytes() == np.array(total).tobytes()
         assert np.array(value).tobytes() == p(np.array([x]))[0].tobytes()
+
+    @given(
+        st.integers(min_value=-(10**400), max_value=10**400).filter(bool),
+        st.integers(min_value=1, max_value=10**400),
+    )
+    @example(10**400, 3)
+    @example(-(10**309), 1)
+    @example(1, 10**400)  # underflows to 0.0
+    @example(2**1024 - 2**971, 1)  # the largest float
+    @example(2**1024 - 2**970, 1)  # halfway above it, rounds to 2**1024: overflows
+    @settings(max_examples=200)
+    def test_float_terms_are_float_of_each_coefficient(self, num, den):
+        # c.numerator / c.denominator is the division float(c) makes
+        c = F(num, den)
+        try:
+            expected = float(c)
+        except OverflowError as exc:
+            with pytest.raises(OverflowError, match=f"^{re.escape(str(exc))}$"):
+                QPoly({1: c})._floats()
+        else:
+            assert QPoly({1: c})._floats()[0][1].hex() == expected.hex()
 
     def test_shift_identity_and_binomial(self):
         assert poly_shift(QPoly({2: 1}), 0) == QPoly({2: 1})

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,12 +14,9 @@ from supratoa import classical_toa
 from supratoa.algebra import QPoly, poly_antideriv
 from supratoa.classical_toa import (
     _ACCESS_MARGIN,
-    _SCAN_POINTS,
     PhasePoint,
     Potential,
-    _extremum_candidates,
     _interval,
-    _scan_grid,
     convergence_margin,
     local_toa,
     series_tail_bound,
@@ -239,12 +237,25 @@ class TestQuadrature:
             toa_quadrature(V, PhasePoint(0.0, 1.0, x=3.0))
 
     def test_barrier_between_scan_points_rejected(self):
-        # the barrier peak at q = 8193/16384 falls between two points of the
-        # accessibility scan; H sits 1e-3 below it, so only QUADPACK samples
-        # the forbidden zone and must report it as NotAccessible
+        # the barrier peak at q = 8193/16384 is a root of V'; H sits 1e-3
+        # below it, a forbidden zone 6.3e-5 wide that only the critical
+        # point sees before the quadrature
         V = Potential.from_pairs([(2, -(10**6)), (1, F(2 * 10**6 * 8193, 16384))])
         p = math.sqrt(2 * (V.value(8193 / 16384) - 1e-3 - V.value(1.0)))
         with pytest.raises(NotAccessible):
+            toa_quadrature(V, PhasePoint(1.0, p))
+
+    @pytest.mark.parametrize("s, peak", [(1, "8193/16384"), (10, "1/3"), (1000, "2/7")])
+    @pytest.mark.parametrize("band", [0.5, 0.9])
+    def test_margin_band_is_not_accessible(self, s, peak, band):
+        # H above the peak of V = -s q^2 + 2 s peak q by a share of the
+        # margin: positive, yet not accessible by definition
+        peak = F(peak)
+        V = Potential.from_pairs([(2, -s), (1, 2 * s * peak)])
+        top = s * peak * peak
+        margin = _ACCESS_MARGIN * max(1.0, float(top))
+        p = math.sqrt(2 * (float(top - V.value(F(1))) + band * margin))
+        with pytest.raises(NotAccessible, match=r"^H - V = .* at q' = "):
             toa_quadrature(V, PhasePoint(1.0, p))
 
     def test_mass_scaling(self):
@@ -311,76 +322,91 @@ class TestShiftArrival:
             assert poly_shift(direct, x) == via_shift
 
 
-# The scalar loops that the array scans replaced, kept as their reference:
-# the scans must give == candidates (in the same order), margins, tail
-# bounds and NotAccessible messages.
-def scalar_extremum_candidates(V, lo, hi):
-    candidates = [lo, hi]
+# An mpmath oracle for the critical-point definition. The real roots of V'
+# come from its square-free part, V' / gcd(V', V''), reduced exactly, so a
+# multiple root is a simple one for polyroots and real roots are told from
+# complex ones by their imaginary part at 50 digits.
+def _exact_divmod(num, den):
+    """Quotient and remainder of dense Fraction polynomials, highest degree first."""
+    num, quot = list(num), []
+    while len(num) >= len(den):
+        factor = num[0] / den[0]
+        quot.append(factor)
+        num = [a - factor * b for a, b in zip(num, den + [0] * (len(num) - len(den)))][1:]
+    return quot, num
+
+
+def _trim(poly):
+    while poly and poly[0] == 0:
+        poly = poly[1:]
+    return poly
+
+
+def _dense(poly):
+    return [poly.coeff(d) for d in range(poly.degree(), -1, -1)]
+
+
+def exact_real_critical_points(V, lo, hi, mpmath):
+    """Real roots of V' inside (lo, hi), as mpf at 50 digits."""
     vp = V.poly.derivative()
-    vpp = vp.derivative()
-    if vp.is_zero() or lo == hi:
-        return candidates
-    n = _SCAN_POINTS
-    prev_q = lo
-    prev_f = vp(lo)
-    for i in range(1, n + 1):
-        qi = lo + (hi - lo) * i / n
-        fi = vp(qi)
-        if prev_f == 0.0:
-            candidates.append(prev_q)
-        elif fi == 0.0 or (prev_f < 0.0) != (fi < 0.0):
-            root = 0.5 * (prev_q + qi)
-            for _ in range(30):
-                d = vpp(root)
-                if d == 0.0:
-                    break
-                step = vp(root) / d
-                root -= step
-                if abs(step) < 1e-15 * max(1.0, abs(root)):
-                    break
-            if lo <= root <= hi:
-                candidates.append(root)
-        prev_q, prev_f = qi, fi
-    return candidates
+    if vp.degree() < 1 or lo == hi:
+        return []
+    dense = _dense(vp)
+    a, b = dense, _dense(vp.derivative())
+    while b:
+        a, b = b, _trim(_exact_divmod(a, b)[1])
+    square_free = _exact_divmod(dense, a)[0]
+    if len(square_free) < 2:
+        return []
+    with mpmath.workdps(50):
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in square_free]
+        roots = mpmath.polyroots(coeffs, maxsteps=500, extraprec=100) if len(coeffs) > 2 else [-coeffs[1] / coeffs[0]]
+        return [mpmath.re(r) for r in roots if abs(mpmath.im(r)) < mpmath.mpf(10) ** -30 and lo < mpmath.re(r) < hi]
 
 
-def scalar_access_message(V, pt):
-    energy = pt.energy(V)
-    lo, hi = _interval(float(pt.x), float(pt.q))
-    margin = _ACCESS_MARGIN * max(1.0, abs(energy))
-    n = _SCAN_POINTS
-    for i in range(n + 1):
-        qi = lo + (hi - lo) * i / n
-        if energy - V.value(qi) <= margin:
-            return f"H - V <= 0 near q' = {qi:.6g}"
-    return None
-
-
-def assert_scans_match_scalar_loops(V, q, x, p, mu=1.0, K=8):
+def oracle(V, q, x, p, mu, mpmath):
+    """(accessible, ratio, gap - margin over max(1, |H|)) by the critical-point definition."""
     lo, hi = _interval(x, q)
-    expected = scalar_extremum_candidates(V, lo, hi)
-    assert _extremum_candidates(V, lo, hi) == expected
-    vq = V.value(q)
-    ratio = mu * max(abs(vq - V.value(c)) for c in expected) / (p * p)
-    assert convergence_margin(V, mu, q, x, p) == (ratio, ratio < 0.5)
-    two_r = 2.0 * ratio
-    tail = math.inf if two_r >= 1.0 else abs(mu * (q - x) / p) * two_r ** (K + 1) / (1.0 - two_r)
-    assert series_tail_bound(ratio, mu, q, x, p, K) == tail
+    with mpmath.workdps(50):
 
-    pt = PhasePoint(q, p, x=x, mu=mu)
-    message = scalar_access_message(V, pt) if q != x else None
+        def value(t):
+            return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * t**d for d, c in V.poly.coeffs.items())
+
+        points = [mpmath.mpf(x), mpmath.mpf(q), *exact_real_critical_points(V, lo, hi, mpmath)]
+        energy = mpmath.mpf(p) ** 2 / (2 * mpmath.mpf(mu)) + value(mpmath.mpf(q))
+        scale = max(1, abs(energy))
+        gap = min(energy - value(c) for c in points)
+        ratio = mu * max(abs(value(mpmath.mpf(q)) - value(c)) for c in points) / mpmath.mpf(p) ** 2
+        return bool(gap > _ACCESS_MARGIN * scale), float(ratio), float((gap - _ACCESS_MARGIN * scale) / scale)
+
+
+def check_against_oracle(V, q, x, p, mu=1.0):
+    """Assert the verdict and the ratio; False when the draw is too close to the margin to judge."""
+    mpmath = pytest.importorskip("mpmath")
+    accessible, ratio, distance = oracle(V, q, x, p, mu, mpmath)
+    if abs(distance) <= 1e-9:
+        return False
+    assert convergence_margin(V, mu, q, x, p)[0] == pytest.approx(ratio, rel=1e-9, abs=0)
     try:
-        toa_quadrature(V, pt)
-    except NotAccessible as exc:
-        # QUADPACK may still find a zone the scan missed ("at q' = ...")
-        assert str(exc) == message or (message is None and "near" not in str(exc))
-    except QuadratureFailure:
-        assert message is None
+        toa_quadrature(V, PhasePoint(q, p, x=x, mu=mu))
+    except NotAccessible:
+        assert not accessible
+    except QuadratureFailure:  # reached, but short of its tolerance near a peak
+        assert accessible
     else:
-        assert message is None
+        assert accessible
+    return True
+
+
+def cubed_derivative(c, power):
+    """V with V' = (q - c)^power."""
+    return Potential(poly_antideriv(QPoly({1: 1, 0: -c}) ** power))
 
 
 class TestArrayScans:
+    """Accessibility and the convergence ratio against the mpmath oracle, on
+    random potentials, dyadic critical points and fixed low-degree cases."""
+
     @given(
         st.dictionaries(st.integers(min_value=0, max_value=7), params, max_size=5),
         params,
@@ -388,43 +414,44 @@ class TestArrayScans:
         nonzero_params,
         st.sampled_from([1.0, 0.5, 2.0]),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_match_scalar_loops(self, coeffs, q, x, p, mu):
+    @example({}, F(1), F(-1), F(1, 2), 1.0)  # free
+    @example({1: F(3, 2)}, F(-1), F(2), F(3, 2), 1.0)  # linear, blocked
+    @example({3: F(1, 3), 2: F(-1), 1: F(1)}, F(2), F(-1), F(3, 8), 1.0)  # V' = (q - 1)^2
+    @example({4: F(1, 4), 3: F(-1), 2: F(3, 2), 1: F(-1)}, F(2), F(-1, 2), F(1, 8), 1.0)  # V' = (q - 1)^3
+    @settings(max_examples=80, deadline=None)
+    def test_matches_mpmath_oracle(self, coeffs, q, x, p, mu):
         V = Potential.from_pairs(coeffs.items())
-        assert_scans_match_scalar_loops(V, float(q), float(x), float(p), mu)
+        hypothesis.assume(check_against_oracle(V, float(q), float(x), float(p), mu))
+
+    @pytest.mark.parametrize("power", [2, 3])
+    @pytest.mark.parametrize("c", [F(1, 3), F(-5, 7), F(0)])
+    @pytest.mark.parametrize("p", [0.05, 0.5, 3.0])
+    def test_multiple_roots_of_the_derivative(self, c, power, p):
+        V = cubed_derivative(c, power)
+        for q, x in [(1.0, -1.0), (-1.0, 1.0), (float(c), 1.0), (0.9, float(c) - 0.4)]:
+            assert check_against_oracle(V, q, x, p)
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("k", [-2048, -2047, -1, 0, 1, 777, 2047, 2048])
     def test_derivative_zero_on_a_grid_point(self, k, sign):
-        # V' = 2 sign (q - c) vanishes exactly on scan point k + 2048 of
-        # [-1, 1]; k = 2048 puts it on the last point
+        # V' = 2 sign (q - c) vanishes at the dyadic c = k / 2048 of [-1, 1];
+        # k = +-2048 puts it on an end
         c = F(k, 2048)
         V = Potential.from_pairs([(2, sign), (1, -2 * sign * c), (0, sign * c * c)])
-        assert float(c) in _extremum_candidates(V, -1.0, 1.0)
-        assert_scans_match_scalar_loops(V, 1.0, -1.0, 3.0)
-        assert_scans_match_scalar_loops(V, -1.0, 1.0, -3.0)
+        assert V.critical_points.tolist() == [float(c)]
+        assert check_against_oracle(V, 1.0, -1.0, 3.0)
+        assert check_against_oracle(V, -1.0, 1.0, -3.0)
 
     @pytest.mark.parametrize(
         "V", [Potential.free(), Potential.from_pairs([(1, F(3, 4))]), HARMONIC], ids=["free", "linear", "harmonic"]
     )
     @pytest.mark.parametrize("q, x", [(0.6, 0.6), (0.6, -0.3), (-0.5, 0.25)])
     def test_fixed_cases(self, V, q, x):
-        assert_scans_match_scalar_loops(V, q, x, 1.3)
-        assert_scans_match_scalar_loops(V, q, x, 0.2)
+        assert check_against_oracle(V, q, x, 1.3)
+        assert check_against_oracle(V, q, x, 0.2)
 
     def test_blocked_point_message(self):
         V = Potential.from_pairs([(1, 1)])
-        pt = PhasePoint(0.0, 1.0, x=3.0)
         with pytest.raises(NotAccessible) as exc:
-            toa_quadrature(V, pt)
-        assert str(exc.value) == scalar_access_message(V, pt) == "H - V <= 0 near q' = 0.500244"
-
-    @given(
-        st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False),
-        st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_grid_equals_scalar_points(self, lo, hi):
-        n = _SCAN_POINTS
-        expected = np.array([lo + (hi - lo) * i / n for i in range(n + 1)])
-        assert _scan_grid(lo, hi).tobytes() == expected.tobytes()
+            toa_quadrature(V, PhasePoint(0.0, 1.0, x=3.0))
+        assert str(exc.value) == "H - V = -2.5 <= 1e-12 at q' = 3"

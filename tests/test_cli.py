@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from supratoa import algebra, classical_toa, cli
-from supratoa.classical_toa import _SCAN_POINTS, Potential
+from supratoa.classical_toa import Potential
 from supratoa.cli import main
 from supratoa.kernel_solver import KernelRequest, kernel_eval, solve_kernel_general, solve_kernel_harmonic
 from supratoa.serialize import kernel_from_dict
@@ -22,8 +22,8 @@ COMMANDS = ["kernel", "classical-limit", "commutator", "weyl-compare", "grid", "
 WRITES = {"kernel": ("json", "csv"), "grid": ("csv",)}
 REFUSED = [(cmd, fmt) for cmd in COMMANDS for fmt in ("json", "csv") if fmt not in WRITES.get(cmd, ("json",))]
 
-# barrier peak at q = 8193/16384, between two points of the accessibility
-# scan; p puts H 1e-3 below the peak at q = 1
+# barrier peak at q = 8193/16384, a forbidden zone 6.3e-5 wide; p puts H
+# 1e-3 below the peak at q = 1
 BARRIER = "2:-1000000 1:128015625/128"
 _BARRIER_V = Potential.from_pairs([(2, -(10**6)), (1, F(128015625, 128))])
 BARRIER_P = math.sqrt(2 * (_BARRIER_V.value(8193 / 16384) - 1e-3 - _BARRIER_V.value(1.0)))
@@ -46,9 +46,8 @@ def digest(text):
     return hashlib.blake2b(text.encode(), digest_size=32).hexdigest()
 
 
-# The arrival-time scans evaluate V and V' once per array of scan points, so
-# a toa job or a small toa grid makes a few hundred polynomial evaluations
-# (mostly QUADPACK's nodes); one scalar scan alone would make 4097.
+# V is evaluated once per array of critical points, so a toa job or a small
+# toa grid makes a few hundred polynomial evaluations, mostly QUADPACK's nodes.
 MAX_POLY_CALLS = 1000
 
 
@@ -62,6 +61,20 @@ def poly_calls(monkeypatch):
         return evaluate(self, x)
 
     monkeypatch.setattr(algebra.QPoly, "__call__", counted)
+    return calls
+
+
+@pytest.fixture
+def roots_calls(monkeypatch):
+    """The coefficient arrays np.roots is called with, as lists."""
+    calls = []
+    roots = classical_toa.np.roots
+
+    def counted(coeffs):
+        calls.append(list(coeffs))
+        return roots(coeffs)
+
+    monkeypatch.setattr(classical_toa.np, "roots", counted)
     return calls
 
 
@@ -451,8 +464,17 @@ class TestGridCommand:
         )
         code, _, _ = invoke(["grid", "--config", path])
         assert code == 0
-        assert MAX_POLY_CALLS < _SCAN_POINTS
         assert 0 < poly_calls[0] <= MAX_POLY_CALLS
+
+    def test_toa_grid_solves_critical_points_once(self, tmp_path, roots_calls):
+        path = write_config(
+            tmp_path,
+            "grid_kind = toa\npotential = 2:1/2 3:1/3 6:1/7\nx = 1/3\n"
+            "qmin = -0.5\nqmax = 0.5\nnq = 3\npmin = 1\npmax = 2\nnp = 3\n",
+        )
+        code, _, _ = invoke(["grid", "--config", path])
+        assert code == 0
+        assert roots_calls == [[6 / 7, 0.0, 0.0, 1.0, 1.0, 0.0]]  # V' = 6/7 q^5 + q^2 + q
 
 
 class TestToaCommand:
@@ -480,21 +502,39 @@ class TestToaCommand:
     def test_job_evaluates_polynomials_per_array(self, tmp_path, poly_calls):
         code, _, _ = invoke(["toa", "--config", write_config(tmp_path, self.LADDER_AT_THIRD)])
         assert code == 0
-        assert MAX_POLY_CALLS < _SCAN_POINTS
         assert 0 < poly_calls[0] <= MAX_POLY_CALLS
 
-    def test_job_scans_for_extrema_once(self, tmp_path, monkeypatch):
-        calls = []
-        scan = classical_toa._extremum_candidates
-
-        def counted(*args):
-            calls.append(args)
-            return scan(*args)
-
-        monkeypatch.setattr(classical_toa, "_extremum_candidates", counted)
+    def test_job_solves_critical_points_once(self, tmp_path, roots_calls):
         code, _, _ = invoke(["toa", "--config", write_config(tmp_path, self.LADDER_AT_THIRD)])
         assert code == 0
-        assert len(calls) == 1
+        assert roots_calls == [[6 / 7, 0.0, 0.0, 1.0, 1.0, 0.0]]  # V' = 6/7 q^5 + q^2 + q
+
+    @pytest.mark.parametrize(
+        "key, value, error, message",
+        [
+            ("p", "1e200", "QuadratureFailure", "H = p^2/(2 mu) + V(q) is beyond the float range"),
+            ("mu", "1e-320", "QuadratureFailure", "H = p^2/(2 mu) + V(q) is beyond the float range"),
+            ("q", "1e200", "QuadratureFailure", "V on [0, 1e+200] is beyond the float range"),
+            ("p", "1e-200", "ZeroMomentum", "convergence ratio undefined at p^2 = 0 (p = 1e-200)"),
+            ("potential", "2:1e400", "QuadratureFailure", "V' coefficient of q^1 is beyond the float range"),
+            ("potential", "3:1e-300 1:1e300", "QuadratureFailure", "a ratio of V' coefficients is beyond the float range"),
+        ],
+        ids=["p-overflow", "mu-underflow", "q-overflow", "p-underflow", "coefficient-overflow", "ratio-overflow"],
+    )
+    def test_non_finite_float_is_named(self, tmp_path, key, value, error, message):
+        point = {"potential": "2:1/2", "q": "1/5", "p": "1", "mu": "1", key: value}
+        text = "".join(f"{k} = {v}\n" for k, v in point.items())
+        code, out, err = invoke(["toa", "--config", write_config(tmp_path, text)])
+        assert (code, out) == (2, "")
+        assert err == f"verification failure: {message}\n"
+
+        grid = f"grid_kind = toa\npotential = {point['potential']}\nmu = {point['mu']}\n" + "".join(
+            f"{axis}min = {point[axis]}\n{axis}max = {point[axis]}\nn{axis} = 1\n" for axis in ("q", "p")
+        )
+        code, out, err = invoke(["grid", "--config", write_config(tmp_path, grid, "grid.conf")])
+        assert code == 0
+        assert math.isnan(float(out.strip().splitlines()[1].split(",")[2]))
+        assert err == f"grid: 1 of 1 rows NaN ({error} 1)\n"
 
     def test_forbidden_point_exits_two(self, tmp_path):
         path = write_config(tmp_path, "potential = 1:1\nq = 0\np = 1\nx = 3\n")
