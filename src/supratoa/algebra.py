@@ -1,18 +1,22 @@
 """Exact arithmetic substrate: rationals, q-polynomials, and graded series tables.
 
 Everything stored in this module is exact; all recurrence and transform work
-happens on Rational values so that equality tests between independently
-computed tables are meaningful. The one float path is the evaluation of a
+happens on Rational values, or on integer numerators over a common
+denominator, so that equality tests between independently computed tables
+are meaningful. The one float path is the evaluation of a
 polynomial or a kernel table at a point or on a node array, which reads a
 tuple of float terms converted once per object.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
+
+from .errors import QuadratureFailure
 
 # Arbitrary-precision rational scalar. fractions.Fraction already guarantees
 # lowest terms, positive denominator, exact arithmetic, and errors on
@@ -207,23 +211,40 @@ class QPoly:
 
 
 def poly_shift(p: QPoly, x: RationalLike) -> QPoly:
-    """Return the polynomial t -> p(t + x), expanded exactly."""
+    """Return the polynomial t -> p(t + x), expanded exactly.
+
+    A Taylor shift on integers: with x = a/b, N = deg p and D the lcm of
+    p's denominators, b^N D p(t + x) = sum_d n_d b^(N-d) (s + a)^d for the
+    integer numerators n_d = D c_d and s = b t, which Horner's scheme in s
+    expands on ints. The coefficient of t^i is that of s^i over
+    b^(N-i) D: one Fraction per output coefficient. The degrees are in
+    the order in which a term-by-term binomial expansion over p's
+    coefficients first meets them: each coefficient's degree and the
+    degrees below it not met before, highest first.
+    """
     x = Fraction(x)
-    if not x:
+    if not x or not p.coeffs:
         return p
-    table: dict[int, Rational] = {}
+    a, b = x.numerator, x.denominator
+    top = p.degree()
+    D = math.lcm(*(c.denominator for c in p.coeffs.values()))
+    nums = [0] * (top + 1)
     for d, c in p.coeffs.items():
-        # binomial expansion of c*(t+x)^d, building the row incrementally
-        term = c
-        for i in range(d, -1, -1):
-            acc = table.get(i, Fraction(0)) + term
-            if acc:
-                table[i] = acc
-            else:
-                table.pop(i, None)
-            if i > 0:
-                term = term * x * i / (d - i + 1)
-    return QPoly(table)
+        nums[d] = c.numerator * (D // c.denominator)
+    bpow = [1]
+    for _ in range(top):
+        bpow.append(bpow[-1] * b)
+    # Horner in s: r <- r (s + a) + n_d b^(N-d), for d from N - 1 down to 0
+    r = [nums[top]]
+    for d in range(top - 1, -1, -1):
+        r.append(0)
+        for i in range(len(r) - 1, 0, -1):
+            r[i] = a * r[i] + r[i - 1]
+        r[0] = a * r[0] + nums[d] * bpow[top - d]
+    order: list[int] = []
+    for d in p.coeffs:
+        order.extend(range(d, len(order) - 1, -1))
+    return QPoly.trusted({i: Fraction(r[i], bpow[top - i] * D) for i in order if r[i]})
 
 
 def poly_antideriv(p: QPoly) -> QPoly:
@@ -326,6 +347,14 @@ class GradedKernel:
     j >= 0, 0 <= s <= max(j-1, 0). Entries are exact rationals and never
     explicitly zero.
 
+    The table is held as layers: layers[j] = ({(m, s): n}, D_j), entry
+    (m, j, s) being the integer n over the layer's common denominator D_j,
+    the form the general solver fills. A is the same table as a dict
+    (m, j, s) -> Fraction. Each form is built from the other on first use
+    and then kept: solver tables build A only for the callers that ask for
+    it, tables built through __init__ derive their layers (D_j the lcm of
+    the layer's denominators, entries in A's order within a layer).
+
     Solver outputs additionally satisfy A[(m, 0, 0)] = 1/4 when m = 1 and 0
     otherwise; that is a property of solutions (verified by boundary_check),
     not of the container, so deliberately corrupted tables can be built for
@@ -335,7 +364,7 @@ class GradedKernel:
     modified copies.
     """
 
-    __slots__ = ("A", "mu", "truncation", "potential", "_float_terms", "_float_form")
+    __slots__ = ("_A", "_layers", "mu", "truncation", "potential", "_float_terms", "_float_form")
 
     def __init__(
         self,
@@ -353,27 +382,28 @@ class GradedKernel:
             c = Fraction(c)
             if c:
                 table[(m, j, s)] = c
-        self._fill(table, mu, truncation, potential)
+        self._fill(table, None, mu, truncation, potential)
 
     @classmethod
-    def trusted(
+    def from_layers(
         cls,
-        table: dict[tuple[int, int, int], Rational],
+        layers: list[tuple[dict[tuple[int, int], int], int]],
         mu: RationalLike,
         truncation: tuple[int, int],
         potential: QPoly | None = None,
     ) -> "GradedKernel":
-        """A table whose entries are already nonzero Fractions at valid indices.
+        """A table given as layers of nonzero integer numerators at valid indices.
 
-        The dict is taken as it is, neither copied nor checked: for solvers
+        The list is taken as it is, neither copied nor checked: for solvers
         that build it themselves. Every other caller goes through __init__.
         """
         kernel = cls.__new__(cls)
-        kernel._fill(table, mu, truncation, potential)
+        kernel._fill(None, layers, mu, truncation, potential)
         return kernel
 
-    def _fill(self, table, mu, truncation, potential) -> None:
-        self.A = table
+    def _fill(self, table, layers, mu, truncation, potential) -> None:
+        self._A = table
+        self._layers = layers
         self.mu = Fraction(mu)
         mmax, jmax = truncation
         self.truncation = (int(mmax), int(jmax))
@@ -381,6 +411,32 @@ class GradedKernel:
         # built on the first float evaluation: see _float_plan and dense_form
         self._float_terms: tuple | None = None
         self._float_form: tuple | None = None
+
+    @property
+    def A(self) -> dict[tuple[int, int, int], Rational]:
+        """The table as (m, j, s) -> Fraction, in layer order."""
+        if self._A is None:
+            self._A = {
+                (m, j, s): Fraction(n, D)
+                for j, (nums, D) in enumerate(self._layers)
+                for (m, s), n in nums.items()
+            }
+        return self._A
+
+    @property
+    def layers(self) -> list[tuple[dict[tuple[int, int], int], int]]:
+        """layers[j] = ({(m, s): numerator}, D_j) for j up to the largest stored j."""
+        if self._layers is None:
+            rows: dict[int, dict[tuple[int, int], Rational]] = {}
+            for (m, j, s), c in self._A.items():
+                rows.setdefault(j, {})[(m, s)] = c
+            layers = []
+            for j in range(max(rows, default=-1) + 1):
+                row = rows.get(j, {})
+                D = math.lcm(*(c.denominator for c in row.values()))
+                layers.append(({key: c.numerator * (D // c.denominator) for key, c in row.items()}, D))
+            self._layers = layers
+        return self._layers
 
     def entry(self, m: int, j: int, s: int) -> Rational:
         return self.A.get((m, j, s), Fraction(0))
@@ -409,18 +465,27 @@ class GradedKernel:
         """Float coefficients and Horner layout, built on the first float evaluation.
 
         (keys, coef, rows, counts, slot): the (m, j, j - s) key and the float
-        value of each entry in table order; the powers m of u that hold
-        entries, ordered by their highest power j of z = v^2, highest first,
-        and the zero row m = 0 (its addition gives every result, an empty
-        table's too, the broadcast shape of u and v); counts[j], how many of
-        those rows reach z^j (a prefix); and slot[m], row m's place in that
-        order, or -1 when it has no entry.
+        value n / D_j of each entry in layer order; the powers m of u that
+        hold entries, ordered by their highest power j of z = v^2, highest
+        first, and the zero row m = 0 (its addition gives every result, an
+        empty table's too, the broadcast shape of u and v); counts[j], how
+        many of those rows reach z^j (a prefix); and slot[m], row m's place
+        in that order, or -1 when it has no entry. An entry beyond the float
+        range raises QuadratureFailure naming it.
         """
         if self._float_terms is None:
-            keys = np.array([(m, j, j - s) for m, j, s in self.A], dtype=np.intp).reshape(-1, 3)
-            # float(c) without the numbers.Rational indirection: the same
-            # correctly rounded integer division
-            coef = np.array([c.numerator / c.denominator for c in self.A.values()])
+            keys, coef = [], []
+            for j, (nums, D) in enumerate(self.layers):
+                for (m, s), n in nums.items():
+                    keys.append((m, j, j - s))
+                    try:
+                        coef.append(n / D)  # int / int: the correctly rounded value of the entry
+                    except OverflowError:
+                        raise QuadratureFailure(
+                            f"kernel entry (m, j, s) = ({m}, {j}, {s}) is beyond the float range"
+                        ) from None
+            keys = np.array(keys, dtype=np.intp).reshape(-1, 3)
+            coef = np.array(coef)
             mmax, jmax = keys[:, :2].max(axis=0) if len(keys) else (0, 0)
             top = np.full(mmax + 1, -1)
             np.maximum.at(top, keys[:, 0], keys[:, 1])
@@ -440,7 +505,7 @@ class GradedKernel:
         m >= 1), column j those of z^j, z = v^2; an empty table gives a 1 x 1
         zero matrix. Each entry is converted to a float once per table, w is
         mu / (2 hbar hbar) in floats and its powers are repeated products;
-        the sum over s runs in table order. The matrix is kept for the last
+        the sum over s runs in layer order. The matrix is kept for the last
         hbar asked for.
         """
         if self._float_form is None or self._float_form[0] != hbar:

@@ -18,7 +18,7 @@ from fractions import Fraction
 import click
 import numpy as np
 
-from .algebra import QPoly, format_rational, parse_rational, poly_shift
+from .algebra import QPoly, parse_rational, poly_shift
 from .classical_toa import (
     PhasePoint,
     Potential,
@@ -39,11 +39,13 @@ from .kernel_solver import (
 )
 from .numerics import BumpProfile, QuadSpec, commutator_residual
 from .serialize import (
-    kernel_to_dict,
+    kernel_rows,
+    kernel_to_json,
     poly_to_pairs,
     residual_report_to_dict,
     series_to_list,
 )
+from .serialize import kernel_to_dict  # noqa: F401  no caller here; perfbench/trace.py wraps it by this name
 from .transforms import classical_limit, hbar2_residual, weyl_quantize, wigner_transform
 
 _FORMATS = ("json", "csv")
@@ -239,10 +241,10 @@ def cmd_kernel(config: RunConfig) -> int:
         _emit_json(diagnostics, config.out)
         return 2
     if config.format == "json":
-        _emit_json(kernel_to_dict(K), config.out)
+        _emit(kernel_to_json(K), config.out)
     else:
         lines = ["m,j,s,coeff"]
-        lines += [f"{m},{j},{s},{format_rational(c)}" for (m, j, s), c in K.items()]
+        lines += [f"{m},{j},{s},{c}" for m, j, s, c in kernel_rows(K)]
         _emit("\n".join(lines), config.out)
     return 0
 
@@ -314,8 +316,9 @@ def cmd_weyl_compare(config: RunConfig) -> int:
     weyl_equals_classical = weyl_map == cterm
 
     full = solve_kernel_general(KernelRequest(V=V, mu=config.mu, Jmax=kmax))
-    s_ge_1 = sum(1 for (_, _, s) in full.A if s >= 1)
-    difference_nonzero = full.A != weyl.A
+    s_ge_1 = sum(1 for nums, _ in full.layers for _, s in nums if s >= 1)
+    # the Weyl table has s = 0 entries only: an s >= 1 entry already differs
+    difference_nonzero = s_ge_1 > 0 or full.A != weyl.A
 
     payload = {
         "weyl_equals_classical": weyl_equals_classical,

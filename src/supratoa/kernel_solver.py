@@ -20,6 +20,7 @@ exact cross-checks of the general recurrence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,21 +78,20 @@ def solve_kernel_general(req: KernelRequest) -> GradedKernel:
     Works for every polynomial potential including V = 0 (free particle),
     whose exact kernel is the single seed entry A[(1, 0, 0)] = 1/4.
 
-    Layer j is pushed on integers: each layer is held as integer numerators
-    over one common denominator D_j (the lcm of its reduced denominators),
-    difference term p/q reads layer j-1-r scaled to E = lcm(D_{j-1-r} q) over
-    the active terms, and each entry is reduced once, as a Fraction of its
-    integer sum over 2 j m E. Only the layers a later layer still reads are
-    kept in numerator form. Nothing is cut: by induction over the difference
-    terms every entry of layer j has m <= D*j + 1 for a degree-D potential,
-    inside the recorded default_mmax truncation.
+    Layer j is pushed on integers, and the table is those layers: each
+    layer is held as integer numerators over its minimal common denominator
+    D_j, difference term p/q reads layer j-1-r scaled to E = lcm(D_{j-1-r} q)
+    over the active terms, and entry (m, s) of layer j is its integer sum t
+    over 2 j m E. With M the lcm of the layer's m, that is t (M / m) over
+    L = 2 j E M, and one gcd of L and those numerators reduces the layer to
+    D_j. Nothing is cut: by induction over the difference terms every entry
+    of layer j has m <= D*j + 1 for a degree-D potential, inside the
+    recorded default_mmax truncation.
     """
     terms = [(l, r, c.numerator, c.denominator) for l, r, c in _difference_terms(req.V)]
-    depth = max((r for _, r, _, _ in terms), default=0) + 1
     layers: list[tuple[dict[tuple[int, int], int], int]] = [({(1, 0): 1}, 4)]
-    table: dict[tuple[int, int, int], Rational] = {(1, 0, 0): Fraction(1, 4)}
     for j in range(1, req.Jmax + 1):
-        active = [(l, r, p, q, layers[-1 - r]) for l, r, p, q in terms if r < j]
+        active = [(l, r, p, q, layers[j - 1 - r]) for l, r, p, q in terms if r < j]
         E = math.lcm(*(D * q for _, _, _, q, (_, D) in active))
         sums: dict[tuple[int, int], int] = {}
         for l, r, p, q, (nums, D) in active:
@@ -99,13 +99,13 @@ def solve_kernel_general(req: KernelRequest) -> GradedKernel:
             for (mp, sp), n in nums.items():
                 key = (mp + l - 2 * r, sp + r)
                 sums[key] = sums.get(key, 0) + scale * n
-        layer = {(m, s): Fraction(t, 2 * j * m * E) for (m, s), t in sorted(sums.items()) if t}
-        D = math.lcm(*(c.denominator for c in layer.values()))
-        layers.append(({key: c.numerator * (D // c.denominator) for key, c in layer.items()}, D))
-        del layers[:-depth]
-        table.update(((m, j, s), c) for (m, s), c in layer.items())
+        M = math.lcm(*(m for (m, _), t in sums.items() if t))
+        layer = {(m, s): t * (M // m) for (m, s), t in sorted(sums.items()) if t}
+        L = 2 * j * E * M
+        g = math.gcd(L, *layer.values())
+        layers.append(({key: n // g for key, n in layer.items()}, L // g))
     mmax = default_mmax(max(req.V.degree, 0), req.Jmax)
-    return GradedKernel.trusted(table, req.mu, (mmax, req.Jmax), potential=req.V.poly)
+    return GradedKernel.from_layers(layers, req.mu, (mmax, req.Jmax), potential=req.V.poly)
 
 
 def solve_kernel_harmonic(muomega: RationalLike, Jmax: int, mu: RationalLike = 1) -> GradedKernel:
@@ -248,31 +248,53 @@ def _residual_monomials(K: GradedKernel, V: Potential) -> Iterator[tuple[int, di
     -(1/w) d2T/dudv + [V((u+v)/2) - V((u-v)/2)] T. Entry (m, j, s) has
     t = m + 2j: its derivative term lands at degree t - 2 and its term
     through difference term (l, r) at degree t + l, so degree d reads only
-    the entries with t = d + 2 or t = d - l.
+    the entries with t = d + 2 or t = d - l. The entries of one layer and
+    one t are a group over one denominator, D_j reduced by one gcd with
+    their numerators when a degree first reads the group; each degree sums
+    on integers over the lcm of its groups' denominators, with one quotient
+    of that lcm per group and term.
     """
-    by_t: dict[int, list[tuple[int, int, int, int, int]]] = {}
-    for (m, j, s), c in K.A.items():
-        by_t.setdefault(m + 2 * j, []).append((m, j, s, c.numerator, c.denominator))
+    by_t: dict[int, list[tuple[int, int, list[tuple[int, int, int]]]]] = {}
+    for j, (nums, D) in enumerate(K.layers):
+        groups: dict[int, list[tuple[int, int, int]]] = {}
+        for (m, s), n in nums.items():
+            groups.setdefault(m + 2 * j, []).append((m, s, n))
+        for t, group in groups.items():
+            by_t.setdefault(t, []).append((j, D, group))
+
+    @functools.cache
+    def reduced(t: int) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
+        out = []
+        for j, D, group in by_t.get(t, ()):
+            g = math.gcd(D, *(n for _, _, n in group))
+            out.append((j, D // g, [(m, s, n // g) for m, s, n in group] if g > 1 else group))
+        return out
+
     by_l: dict[int, list[tuple[int, int, int]]] = {}
     for l, r, coeff in _difference_terms(V):
         by_l.setdefault(l, []).append((r, coeff.numerator, coeff.denominator))
     if not by_t:
         return
     for d in range(min(by_t) - 2, max(by_t) + max(by_l, default=0) + 1):
-        # (key, numerator, denominator) of every contribution, summed on
-        # integers over the lcm of their denominators
-        parts: list[tuple[tuple[int, int, int], int, int]] = []
-        for m, j, s, n, den in by_t.get(d + 2, ()):
-            if j >= 1:
-                parts.append(((m - 1, 2 * j - 1, j - s - 1), -n * (2 * j * m), den))
-        for l, rs in by_l.items():
-            for m, j, s, n, den in by_t.get(d - l, ()):
-                for r, p, q in rs:
-                    parts.append(((m + l - 2 * r - 1, 2 * j + 2 * r + 1, j - s), n * p, den * q))
-        E = math.lcm(*(den for _, _, den in parts))
+        derivative = [(j, den, group) for j, den, group in reduced(d + 2) if j >= 1]
+        through = [(l, rs, reduced(d - l)) for l, rs in by_l.items()]
+        E = math.lcm(
+            *(den for _, den, _ in derivative),
+            *(den * q for _, rs, groups in through for _, den, _ in groups for _, _, q in rs),
+        )
         sums: dict[tuple[int, int, int], int] = {}
-        for key, n, den in parts:
-            sums[key] = sums.get(key, 0) + n * (E // den)
+        for j, den, group in derivative:
+            scale = E // den
+            for m, s, n in group:
+                key = (m - 1, 2 * j - 1, j - s - 1)
+                sums[key] = sums.get(key, 0) - n * (2 * j * m) * scale
+        for l, rs, groups in through:
+            for j, den, group in groups:
+                scales = [(r, p * (E // (den * q))) for r, p, q in rs]
+                for m, s, n in group:
+                    for r, scale in scales:
+                        key = (m + l - 2 * r - 1, 2 * j + 2 * r + 1, j - s)
+                        sums[key] = sums.get(key, 0) + n * scale
         res = {key: Fraction(t, E) for key, t in sums.items() if t}
         if res:
             yield d, res
@@ -308,11 +330,17 @@ def boundary_check(K: GradedKernel) -> BoundaryReport:
     """Verify the boundary data of a kernel table; see BoundaryReport."""
     failures: list[str] = []
 
-    slice0 = {m: c for (m, j, s), c in K.A.items() if j == 0}
+    nums0, D0 = K.layers[0] if K.layers else ({}, 1)
+    slice0 = {m: Fraction(n, D0) for (m, _), n in nums0.items()}
     if slice0 != {1: Fraction(1, 4)}:
         failures.append("(i) v = 0 slice differs from u/4")
 
-    bad = [key for key in K.A if key[0] < 1 or key[1] < 0 or key[2] < 0 or key[2] > max(key[1] - 1, 0)]
+    bad = [
+        (m, j, s)
+        for j, (nums, _) in enumerate(K.layers)
+        for m, s in nums
+        if m < 1 or s < 0 or s > max(j - 1, 0)
+    ]
     if bad:
         failures.append(f"(ii) entries outside valid index ranges: {sorted(bad)}")
 

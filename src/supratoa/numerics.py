@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import GradedKernel
-from .classical_toa import Potential
+from .classical_toa import Potential, _finite
 from .errors import (
     ArgumentTooNegative,
     NoConvergence,
@@ -304,7 +305,8 @@ def commutator_residual(
     split at the ends of supp(psi) inside it, where the outer integrand
     inherits the flat, non-analytic edge of psi, and the overlap and the
     norms on one panel each. So a tolerance the rule cannot certify raises
-    QuadratureFailure instead of returning a report. The error budget sums
+    QuadratureFailure instead of returning a report, and so does a table
+    entry or a coefficient of V beyond the float range. The error budget sums
     the outer estimate, hbar times the overlap estimate, and the largest
     inner estimate integrated over supp(phi); it has no term for truncation
     of the table.
@@ -312,6 +314,11 @@ def commutator_residual(
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     kf = _as_kernel_func(K, hbar)
+    # floats of the table, then of V: one beyond the float range is named
+    if isinstance(K, GradedKernel):
+        K.dense_form(hbar)
+    for d, c in V.poly.coeffs.items():
+        _finite(f"V coefficient of q^{d}", operator.truediv, c.numerator, c.denominator)
     inner_tol = max(quad.abs_tol * 1e-3, 5e-15)
 
     lo = max(phi.support[0], psi.support[0])

@@ -8,6 +8,7 @@ pairs with integer degrees.
 from __future__ import annotations
 
 import json
+import math
 from typing import TYPE_CHECKING
 
 from .algebra import GradedKernel, MomentumSeries, QPoly, format_rational, parse_rational
@@ -63,8 +64,38 @@ def series_from_list(data) -> MomentumSeries:
     return MomentumSeries({(int(e["k"]), int(e["s"])): poly_from_pairs(e["poly"]) for e in data})
 
 
+def kernel_rows(K: GradedKernel) -> list[tuple[int, int, int, str]]:
+    """(m, j, s, coefficient text) of every entry, sorted by (m, j, s).
+
+    Each coefficient n / D_j is reduced by one gcd and written as
+    format_rational writes its Fraction.
+    """
+    entries = sorted((m, j, s, n, D) for j, (nums, D) in enumerate(K.layers) for (m, s), n in nums.items())
+    rows = []
+    for m, j, s, n, D in entries:
+        g = math.gcd(n, D)
+        rows.append((m, j, s, f"{n // g}/{D // g}" if D != g else str(n // g)))
+    return rows
+
+
 def kernel_to_json(K: GradedKernel) -> str:
-    return json.dumps(kernel_to_dict(K), indent=2)
+    """json.dumps(kernel_to_dict(K), indent=2), written entry by entry."""
+    mmax, jmax = K.truncation
+    head = {
+        "potential": poly_to_pairs(K.potential) if K.potential is not None else None,
+        "mu": format_rational(K.mu),
+        "jmax": jmax,
+        "mmax": mmax,
+    }
+    # a value nested one level deep is its own dump indented by two spaces;
+    # coefficient texts hold only digits, "-" and "/", so need no escaping
+    fields = [f'"{key}": ' + json.dumps(value, indent=2).replace("\n", "\n  ") for key, value in head.items()]
+    entries = ",".join(
+        f'\n    {{\n      "m": {m},\n      "j": {j},\n      "s": {s},\n      "coeff": "{c}"\n    }}'
+        for m, j, s, c in kernel_rows(K)
+    )
+    fields.append(f'"entries": [{entries}\n  ]' if entries else '"entries": []')
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
 def kernel_from_json(text: str) -> GradedKernel:

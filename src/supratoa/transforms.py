@@ -28,15 +28,22 @@ def wigner_transform(K: GradedKernel) -> MomentumSeries:
         -2 mu (2j)! (-1)^j (mu/2)^(j-s) A 2^m q^m
     to the series term at p-index k = j and hbar grade s. The output is odd
     in p by construction (only p^-(2j+1) powers arise) and hbar enters only
-    at even powers 2s.
+    at even powers 2s. Entry n / D_j of layer j with factor F / F' is the
+    coefficient n F 2^m / (D_j F'): one Fraction per coefficient, in the
+    table's layer order.
     """
-    factors = {(j, s): _term_factor(K.mu, j, j - s) for j, s in {key[1:] for key in K.A}}
-    powers = {m: 2**m for m in {key[0] for key in K.A}}
+    if not K.mu:
+        return MomentumSeries()  # every factor is zero
     polys: dict[tuple[int, int], dict[int, Rational]] = {}
-    for (m, j, s), a in K.A.items():
-        row = polys.setdefault((j, s), {})
-        row[m] = row.get(m, Fraction(0)) + factors[j, s] * a * powers[m]
-    return MomentumSeries({key: QPoly(row) for key, row in polys.items()})
+    for j, (nums, D) in enumerate(K.layers):
+        scale: dict[int, tuple[int, int, dict[int, Rational]]] = {}
+        for (m, s), n in nums.items():
+            if s not in scale:
+                f = _term_factor(K.mu, j, j - s)
+                scale[s] = (f.numerator, D * f.denominator, polys.setdefault((j, s), {}))
+            num, den, row = scale[s]
+            row[m] = Fraction(n * num << m, den)
+    return MomentumSeries({key: QPoly.trusted(row) for key, row in polys.items()})
 
 
 def classical_limit(T: MomentumSeries) -> MomentumSeries:

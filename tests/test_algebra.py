@@ -143,6 +143,37 @@ class TestQPoly:
     def test_shift_round_trips(self, p, x):
         assert poly_shift(poly_shift(p, x), -x) == p
 
+    @staticmethod
+    def binomial_shift(p, x):
+        """Reference: the term-by-term binomial expansion in Fractions, and
+        whether a partial sum cancelled (which moves its degree to the end)."""
+        table, cancelled = {}, False
+        for d, c in p.coeffs.items():
+            term = c
+            for i in range(d, -1, -1):
+                acc = table.get(i, F(0)) + term
+                if acc:
+                    table[i] = acc
+                else:
+                    cancelled = True
+                    table.pop(i, None)
+                if i > 0:
+                    term = term * x * i / (d - i + 1)
+        return table, cancelled
+
+    @given(polys, rationals)
+    @example(QPoly(), F(3, 2))
+    @example(QPoly({5: F(-2, 3), 0: 1}), F(0))
+    @example(QPoly({1: F(1, 3), 4: F(-7, 2), 2: 5}), F(-5, 3))
+    @settings(max_examples=100)
+    def test_integer_shift_equals_binomial_expansion(self, p, x):
+        shifted = poly_shift(p, x)
+        expected, cancelled = self.binomial_shift(p, x)
+        assert shifted.coeffs == expected
+        assert all(type(c) is F and c for c in shifted.coeffs.values())
+        if x and not cancelled:
+            assert list(shifted.coeffs) == list(expected)
+
     def test_antideriv_and_defint_basics(self):
         assert poly_defint(QPoly.constant(1), 0, 1) == 1
         assert poly_antideriv(QPoly({1: 1})) == QPoly({2: F(1, 2)})

@@ -246,6 +246,14 @@ class TestKernelCommand:
         assert lines[0] == "m,j,s,coeff"
         assert len(lines) == 1 + len(solve_kernel_harmonic(1, 4).A)
 
+    @pytest.mark.parametrize("potential", ["2:1/2", "4:1", "2:1/2 3:1/3 6:1/7"], ids=["harmonic", "quartic", "sextic"])
+    def test_csv_rows_are_the_fraction_table(self, tmp_path, potential):
+        text = f"potential = {potential}\njmax = 10\nformat = csv\n"
+        code, out, _ = invoke(["kernel", "--config", write_config(tmp_path, text)])
+        K = solve_kernel_general(KernelRequest(cli.parse_config_text(text, "kernel").potential, 1, 10))
+        rows = [f"{m},{j},{s},{algebra.format_rational(c)}" for (m, j, s), c in sorted(K.A.items())]
+        assert (code, out) == (0, "\n".join(["m,j,s,coeff"] + rows) + "\n")
+
     def test_format_flag_overrides_config(self, tmp_path):
         path = write_config(tmp_path, "potential = free\nformat = json\n")
         code, out, _ = invoke(["kernel", "--config", path, "--format", "csv"])
@@ -324,6 +332,18 @@ class TestCommutatorCommand:
         assert "verification failure" in err
 
 
+    @pytest.mark.parametrize(
+        "jmax, message",
+        [(4, "kernel entry (m, j, s) = (3, 1, 0)"), (0, "V coefficient of q^2")],
+        ids=["table-entry", "potential-coefficient"],
+    )
+    def test_float_overflow_is_named(self, tmp_path, jmax, message):
+        text = f"potential = 2:1e400\njmax = {jmax}\n"
+        code, out, err = invoke(["commutator", "--config", write_config(tmp_path, text)])
+        assert (code, out) == (2, "")
+        assert err == f"verification failure: {message} is beyond the float range\n"
+
+
 class TestWeylCompareCommand:
     def test_quartic_obstruction_note(self, tmp_path):
         path = write_config(tmp_path, "potential = 4:1\nkmax = 6\n")
@@ -346,6 +366,12 @@ class TestWeylCompareCommand:
 
 
 class TestGridCommand:
+    def test_table_entry_beyond_float_range_is_named(self, tmp_path):
+        text = "grid_kind = kernel\npotential = 2:1e400\njmax = 4\nnq = 2\nnqp = 2\n"
+        code, out, err = invoke(["grid", "--config", write_config(tmp_path, text)])
+        assert (code, out) == (2, "")
+        assert err == "verification failure: kernel entry (m, j, s) = (3, 1, 0) is beyond the float range\n"
+
     def test_kernel_grid_row_count(self, tmp_path):
         path = write_config(
             tmp_path,

@@ -271,6 +271,21 @@ class TestResidualStream:
         K = K.replace_entry(m, j, s, data.draw(params))
         self.check(K, V)
 
+    @given(potentials, st.integers(1, 8), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_one_numerator_moved(self, V, jmax, data):
+        # a layer the solver did not reduce: its denominator may share a
+        # factor with every numerator
+        K = general(V, 1, jmax)
+        j = data.draw(st.sampled_from([j for j, (nums, _) in enumerate(K.layers) if nums]))
+        nums, D = K.layers[j]
+        key = data.draw(st.sampled_from(sorted(nums)))
+        moved = dict(nums)
+        moved[key] += 1 if moved[key] != -1 else -1
+        layers = list(K.layers)
+        layers[j] = (moved, D)
+        self.check(GradedKernel.from_layers(layers, K.mu, K.truncation, K.potential), V)
+
     @given(potentials, potentials, st.integers(0, 6))
     @settings(max_examples=40, deadline=None)
     def test_wrong_potential(self, V, W, jmax):
@@ -312,6 +327,11 @@ class TestLayerOrder:
         assert list(checked.A.items()) == list(K.A.items())
         assert all(type(c) is F and c for c in K.A.values())
         assert (K.truncation, K.potential) == (checked.truncation, checked.potential)
+        # the layers derived from the Fractions are the solver's, and give
+        # the same floats
+        assert checked.layers == K.layers
+        assert K._float_plan()[1].tolist() == [c.numerator / c.denominator for c in K.A.values()]
+        assert np.array_equal(checked.dense_form(0.7), K.dense_form(0.7))
 
 
 class TestBoundary:
@@ -353,10 +373,12 @@ class TestUngradedDebugRoute:
                 rebuilt.setdefault((m, 2 * j), {})[j - s] = c
             assert table == rebuilt
 
-    @given(potentials, st.integers(0, 6))
+    @given(potentials, st.integers(0, 8))
     @settings(max_examples=40, deadline=None)
     def test_push_solver_matches_dense_reference(self, V, jmax):
         K = general(V, 1, jmax)
+        # each layer is over its minimal common denominator
+        assert all(math.gcd(D, *nums.values()) == 1 for nums, D in K.layers)
         table = solve_kernel_ungraded(V, 2 * jmax, K.truncation[0])
         rebuilt = {}
         for (m, j, s), c in K.items():

@@ -3,12 +3,13 @@
 import json
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supratoa.algebra import QPoly
-from supratoa.classical_toa import Potential, local_toa
-from supratoa.kernel_solver import KernelRequest, solve_kernel_general
+from supratoa.algebra import GradedKernel, QPoly
+from supratoa.classical_toa import Potential, local_toa, shift_arrival
+from supratoa.kernel_solver import KernelRequest, solve_kernel_general, solve_kernel_harmonic
 from supratoa.numerics import CommutatorReport
 from supratoa.serialize import (
     kernel_from_json,
@@ -21,6 +22,31 @@ from supratoa.serialize import (
     series_from_json,
     series_to_json,
 )
+from supratoa.transforms import weyl_quantize
+
+SEXTIC = Potential.from_pairs([(2, F(1, 2)), (3, F(1, 3)), (6, F(1, 7))])
+SOLVER_POTENTIALS = {
+    "free": Potential.free(),
+    "harmonic": Potential.from_pairs([(2, F(1, 2))]),
+    "quartic": Potential.from_pairs([(4, 1)]),
+    "sextic": SEXTIC,
+    "sextic-x+1/2": shift_arrival(SEXTIC, F(1, 2)),
+    "sextic-x-1/2": shift_arrival(SEXTIC, F(-1, 2)),
+}
+# tables built through GradedKernel.__init__, with negative and integer
+# coefficients, no potential and no entries among them
+BUILT_TABLES = {
+    "harmonic-chain": lambda: solve_kernel_harmonic(F(3, 2), 6),
+    "weyl-quartic": lambda: weyl_quantize(local_toa(Potential.from_pairs([(4, 1)]), 1, 0, 5)),
+    "corrupted-sextic": lambda: solve_kernel_general(KernelRequest(SEXTIC, 1, 10))
+    .replace_entry(1, 0, 0, F(1, 2))
+    .replace_entry(2, 0, 0, -3),
+    "integers-and-negatives": lambda: GradedKernel(
+        {(1, 0, 0): -3, (2, 1, 0): F(-1, 3), (3, 2, 1): 7}, F(5, 2), (3, 2), potential=QPoly()
+    ),
+    "no-potential": lambda: GradedKernel({(1, 0, 0): F(1, 4)}, 1, (1, 0), potential=None),
+    "empty": lambda: GradedKernel({}, 1, (1, 0), potential=None),
+}
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=40)
 polys = st.builds(
@@ -64,6 +90,31 @@ class TestKernelJson:
         assert data["jmax"] == 0 and data["mmax"] == 1
         assert data["entries"] == [{"m": 1, "j": 0, "s": 0, "coeff": "1/4"}]
         assert json.loads(kernel_to_json(K)) == data
+
+
+class TestKernelWriter:
+    """kernel_to_json writes json.dumps(kernel_to_dict(K), indent=2) entry by entry."""
+
+    @staticmethod
+    def check(K):
+        text = kernel_to_json(K)
+        assert text == json.dumps(kernel_to_dict(K), indent=2)
+        assert kernel_from_json(text) == K
+        return text
+
+    @pytest.mark.parametrize("jmax", [0, 1, 10])
+    @pytest.mark.parametrize("V", list(SOLVER_POTENTIALS.values()), ids=list(SOLVER_POTENTIALS))
+    def test_solver_tables(self, V, jmax):
+        self.check(solve_kernel_general(KernelRequest(V, F(3, 2), jmax)))
+
+    @pytest.mark.parametrize("build", list(BUILT_TABLES.values()), ids=list(BUILT_TABLES))
+    def test_built_tables(self, build):
+        self.check(build())
+
+    def test_integer_coefficients_have_no_denominator(self):
+        text = self.check(BUILT_TABLES["integers-and-negatives"]())
+        assert '"coeff": "-3"' in text and '"coeff": "7"' in text and '"coeff": "-1/3"' in text
+        assert "/1\"" not in text
 
 
 class TestSeriesJson:
