@@ -39,8 +39,8 @@ from .kernel_solver import (
 )
 from .numerics import BumpProfile, QuadSpec, commutator_residual
 from .serialize import (
+    kernel_json_chunks,
     kernel_rows,
-    kernel_to_json,
     poly_to_pairs,
     residual_report_to_dict,
     series_to_list,
@@ -204,16 +204,57 @@ def load_config(path: str, command: str) -> RunConfig:
     return parse_config_text(text, command)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        click.echo(text)
+def _emit(text, out: str | None) -> None:
+    """Write text, a str or an iterable of str chunks, to the file out or to stdout.
+
+    Both destinations get the same bytes, written as the chunks come (see
+    _write_batches). A chunk that raises leaves no partial file: the file is
+    deleted and the error re-raised.
+    """
+    if not out:
+        _write_batches(text, lambda batch: click.echo(batch, nl=False))
+        return
+    fh = open(out, "w", encoding="utf-8")
+    try:
+        with fh:
+            _write_batches(text, fh.write)
+    except BaseException:
+        import os
+
+        if os.path.isfile(out):  # never a device or a pipe named by --out
+            os.remove(out)
+        raise
+
+
+def _write_batches(text, write) -> None:
+    """Write text, a str or an iterable of str chunks, joined 128 chunks per
+    call of write, then a newline unless the text ends with one.
+
+    Batches keep the calls of write few for a report of small tokens, and
+    the memory small for a table of large entries.
+    """
+    from itertools import islice  # not at module level: start-up imports stay as they are
+
+    chunks = iter([text] if isinstance(text, str) else text)
+    end = ""
+    while batch := list(islice(chunks, 128)):
+        joined = "".join(batch)
+        if joined:
+            write(joined)
+            end = joined[-1]
+    if end != "\n":
+        write("\n")
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(payload, indent=2), out)
+    _emit(json.JSONEncoder(indent=2).iterencode(payload), out)
+
+
+def _csv(header: str, rows):
+    """CSV lines: the header, then each row."""
+    yield header
+    for row in rows:
+        yield "\n" + row
 
 
 def _effective_potential(config: RunConfig) -> Potential:
@@ -241,11 +282,9 @@ def cmd_kernel(config: RunConfig) -> int:
         _emit_json(diagnostics, config.out)
         return 2
     if config.format == "json":
-        _emit(kernel_to_json(K), config.out)
+        _emit(kernel_json_chunks(K), config.out)
     else:
-        lines = ["m,j,s,coeff"]
-        lines += [f"{m},{j},{s},{c}" for m, j, s, c in kernel_rows(K)]
-        _emit("\n".join(lines), config.out)
+        _emit(_csv("m,j,s,coeff", (f"{m},{j},{s},{c}" for m, j, s, c in kernel_rows(K))), config.out)
     return 0
 
 
@@ -341,27 +380,29 @@ def cmd_grid(config: RunConfig) -> int:
         K = solve_kernel_general(KernelRequest(V=V, mu=config.mu, Jmax=config.jmax))
         qps = np.linspace(config.qpmin, config.qpmax, config.nqp)
         values = kernel_eval(K, qs[:, None], qps, config.hbar)
-        lines = ["q,qp,re,im"]
-        for q, row in zip(qs.tolist(), values.tolist()):
-            for qp, val in zip(qps.tolist(), row):
-                lines.append(f"{q!r},{qp!r},{val.real!r},{val.imag!r}")
-    else:
-        ps = np.linspace(config.pmin, config.pmax, config.np)
-        lines = ["q,p,toa"]
-        nan_reasons = Counter()
-        for q in qs:
-            for p in ps:
-                pt = PhasePoint(q=float(q), p=float(p), x=float(config.x), mu=float(config.mu))
-                try:
-                    value = toa_quadrature(config.potential, pt, config.quad_abs_tol)
-                except SupratoaError as exc:
-                    value = math.nan
-                    nan_reasons[type(exc).__name__] += 1
-                lines.append(f"{float(q)!r},{float(p)!r},{value!r}")
-        if nan_reasons:
-            reasons = ", ".join(f"{name} {count}" for name, count in sorted(nan_reasons.items()))
-            click.echo(f"grid: {nan_reasons.total()} of {len(lines) - 1} rows NaN ({reasons})", err=True)
-    _emit("\n".join(lines), config.out)
+        rows = (
+            f"{q!r},{qp!r},{val.real!r},{val.imag!r}"
+            for q, row in zip(qs.tolist(), values.tolist())
+            for qp, val in zip(qps.tolist(), row)
+        )
+        _emit(_csv("q,qp,re,im", rows), config.out)
+        return 0
+    ps = np.linspace(config.pmin, config.pmax, config.np)
+    rows = []
+    nan_reasons = Counter()
+    for q in qs:
+        for p in ps:
+            pt = PhasePoint(q=float(q), p=float(p), x=float(config.x), mu=float(config.mu))
+            try:
+                value = toa_quadrature(config.potential, pt, config.quad_abs_tol)
+            except SupratoaError as exc:
+                value = math.nan
+                nan_reasons[type(exc).__name__] += 1
+            rows.append(f"{float(q)!r},{float(p)!r},{value!r}")
+    if nan_reasons:
+        reasons = ", ".join(f"{name} {count}" for name, count in sorted(nan_reasons.items()))
+        click.echo(f"grid: {nan_reasons.total()} of {len(rows)} rows NaN ({reasons})", err=True)
+    _emit(_csv("q,p,toa", rows), config.out)
     return 0
 
 

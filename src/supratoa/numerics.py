@@ -243,15 +243,27 @@ def _apply(kernel_func, f, support: tuple[float, float], qs, epsabs: float) -> t
     """(T f_q)(q) = integral of <q|T|q'> f_q(q') over the support, at each q of qs.
 
     f(q, q') takes a column of outer points q and node rows q' and returns
-    f_q(q'). The points are one _integrate batch: row q has the panels
-    [lo, clip(q), hi], so the sgn jump at q' = q is a panel end (an empty
-    panel adds 0 when q is at or outside an end). Returns the values and
-    the error estimates.
+    f_q(q'). The points inside the support are one _integrate batch with
+    the panels [lo, q, hi], so the sgn jump at q' = q is a panel end; the
+    points at or outside an end are another, with the one panel [lo, hi].
+    Each row's value and estimate are those of the panels [lo, clip(q), hi],
+    whose empty panel adds 0. Returns the values and the error estimates.
     """
     lo, hi = support
     q = np.asarray(qs, dtype=float).reshape(-1, 1)
-    ends = np.hstack([np.full_like(q, lo), np.clip(q, lo, hi), np.full_like(q, hi)])
-    return _integrate(lambda x, i: kernel_func(q[i], x) * f(q[i], x), ends, epsabs)
+    inside = ((lo < q) & (q < hi)).ravel()
+    parts = []
+    for rows in (np.flatnonzero(inside), np.flatnonzero(~inside)):
+        if len(rows):
+            qr = q[rows]
+            cols = [np.full_like(qr, lo), qr, np.full_like(qr, hi)]
+            ends = np.hstack(cols if inside[rows[0]] else cols[::2])
+            parts.append((rows, *_integrate(lambda x, i: kernel_func(qr[i], x) * f(qr[i], x), ends, epsabs)))
+    vals = np.empty(len(q), dtype=np.result_type(*(v for _, v, _ in parts)))
+    errs = np.empty(len(q))
+    for rows, v, e in parts:
+        vals[rows], errs[rows] = v, e
+    return vals, errs
 
 
 def apply_kernel(K, phi: BumpProfile, qgrid, hbar: float, quad: QuadSpec) -> list[complex]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .algebra import GradedKernel, MomentumSeries, QPoly, format_rational, parse_rational
 
@@ -64,22 +64,21 @@ def series_from_list(data) -> MomentumSeries:
     return MomentumSeries({(int(e["k"]), int(e["s"])): poly_from_pairs(e["poly"]) for e in data})
 
 
-def kernel_rows(K: GradedKernel) -> list[tuple[int, int, int, str]]:
+def kernel_rows(K: GradedKernel) -> Iterator[tuple[int, int, int, str]]:
     """(m, j, s, coefficient text) of every entry, sorted by (m, j, s).
 
     Each coefficient n / D_j is reduced by one gcd and written as
-    format_rational writes its Fraction.
+    format_rational writes its Fraction. The rows are generated one at a
+    time, so a writer holds the sorted entries but never all their texts.
     """
     entries = sorted((m, j, s, n, D) for j, (nums, D) in enumerate(K.layers) for (m, s), n in nums.items())
-    rows = []
     for m, j, s, n, D in entries:
         g = math.gcd(n, D)
-        rows.append((m, j, s, f"{n // g}/{D // g}" if D != g else str(n // g)))
-    return rows
+        yield m, j, s, f"{n // g}/{D // g}" if D != g else str(n // g)
 
 
-def kernel_to_json(K: GradedKernel) -> str:
-    """json.dumps(kernel_to_dict(K), indent=2), written entry by entry."""
+def kernel_json_chunks(K: GradedKernel) -> Iterator[str]:
+    """json.dumps(kernel_to_dict(K), indent=2) in pieces: the head, each entry, the tail."""
     mmax, jmax = K.truncation
     head = {
         "potential": poly_to_pairs(K.potential) if K.potential is not None else None,
@@ -87,15 +86,20 @@ def kernel_to_json(K: GradedKernel) -> str:
         "jmax": jmax,
         "mmax": mmax,
     }
-    # a value nested one level deep is its own dump indented by two spaces;
-    # coefficient texts hold only digits, "-" and "/", so need no escaping
+    # a value nested one level deep is its own dump indented by two spaces
     fields = [f'"{key}": ' + json.dumps(value, indent=2).replace("\n", "\n  ") for key, value in head.items()]
-    entries = ",".join(
-        f'\n    {{\n      "m": {m},\n      "j": {j},\n      "s": {s},\n      "coeff": "{c}"\n    }}'
-        for m, j, s, c in kernel_rows(K)
-    )
-    fields.append(f'"entries": [{entries}\n  ]' if entries else '"entries": []')
-    return "{\n  " + ",\n  ".join(fields) + "\n}"
+    yield "{\n  " + ",\n  ".join(fields) + ',\n  "entries": ['
+    sep = ""
+    # coefficient texts hold only digits, "-" and "/", so need no escaping
+    for m, j, s, c in kernel_rows(K):
+        yield f'{sep}\n    {{\n      "m": {m},\n      "j": {j},\n      "s": {s},\n      "coeff": "{c}"\n    }}'
+        sep = ","
+    yield "\n  ]\n}" if sep else "]\n}"
+
+
+def kernel_to_json(K: GradedKernel) -> str:
+    """json.dumps(kernel_to_dict(K), indent=2), written entry by entry."""
+    return "".join(kernel_json_chunks(K))
 
 
 def kernel_from_json(text: str) -> GradedKernel:

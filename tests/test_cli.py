@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,7 @@ from supratoa import algebra, classical_toa, cli
 from supratoa.classical_toa import Potential
 from supratoa.cli import main
 from supratoa.kernel_solver import KernelRequest, kernel_eval, solve_kernel_general, solve_kernel_harmonic
-from supratoa.serialize import kernel_from_dict
+from supratoa.serialize import kernel_from_dict, kernel_json_chunks
 
 COMMANDS = ["kernel", "classical-limit", "commutator", "weyl-compare", "grid", "toa"]
 
@@ -34,6 +35,15 @@ def invoke(args):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(args)
     return code, out.getvalue(), err.getvalue()
+
+
+def invoke_bytes(args):
+    """(exit code, stdout bytes) of main(args)."""
+    buf = io.BytesIO()
+    stream = io.TextIOWrapper(buf, encoding="utf-8", write_through=True)  # closes buf when collected
+    with contextlib.redirect_stdout(stream):
+        code = main(args)
+    return code, buf.getvalue()
 
 
 def write_config(tmp_path, text, name="run.conf"):
@@ -116,6 +126,84 @@ class TestSeedConfigsReplay:
         code, out, err = invoke([cmd, "--config", path])
         assert code == 0, f"{cmd} failed on its own seed config: {err or out}"
         assert out
+
+
+class TestOutputStream:
+    """Every output is a stream of chunks: the same bytes to --out and to stdout."""
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_seed_config_bytes_are_the_same_on_both(self, cmd, tmp_path):
+        target = tmp_path / "seed.conf"
+        assert invoke_bytes([cmd, "--seed-config"]) == (0, cli._SAMPLES[cmd].encode())
+        assert main([cmd, "--seed-config", "--out", str(target)]) == 0
+        assert target.read_bytes() == cli._SAMPLES[cmd].encode()
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_seed_run_bytes_are_the_same_on_both(self, cmd, tmp_path, monkeypatch):
+        payloads = []
+        emit_json = cli._emit_json
+
+        def recorded(payload, out):
+            payloads.append(payload)
+            emit_json(payload, out)
+
+        monkeypatch.setattr(cli, "_emit_json", recorded)
+        conf = write_config(tmp_path, cli._SAMPLES[cmd])
+        target = tmp_path / "run.out"
+        code, out = invoke_bytes([cmd, "--config", conf])
+        assert (code, main([cmd, "--config", conf, "--out", str(target)])) == (0, 0)
+        assert target.read_bytes() == out
+        # each JSON report is the indent-2 dump of its payload plus a newline
+        for payload in payloads:
+            assert out == (json.dumps(payload, indent=2) + "\n").encode()
+        assert len(payloads) == (0 if cmd in ("kernel", "grid") else 2)
+
+    def test_json_report_edge_values(self, tmp_path):
+        payload = {"a": [1.5, None, True, 'e\u0301 "q"\n'], "b": {}, "c": [], "d": {"x": [[]]}, "e": -0.0}
+        target = tmp_path / "report.json"
+        cli._emit_json(payload, str(target))
+        assert target.read_text() == json.dumps(payload, indent=2) + "\n"
+
+    def test_failed_chunk_leaves_no_file(self, tmp_path):
+        target = tmp_path / "partial.csv"
+        target.write_text("an older output\n")
+
+        def rows():
+            yield "m,j,s,coeff"
+            for i in range(3):
+                yield f"\n{i},0,0,1"
+            raise ValueError("row 3 failed")
+
+        with pytest.raises(ValueError, match="row 3 failed"):
+            cli._emit(rows(), str(target))
+        assert not target.exists()
+
+    def test_failed_table_write_keeps_exit_code_and_error_line(self, tmp_path, monkeypatch):
+        def rows(K):
+            yield 1, 0, 0, "1/4"
+            yield 3, 1, 0, "-1/24"
+            raise ValueError("no row 3")
+
+        monkeypatch.setattr(cli, "kernel_rows", rows)
+        conf = write_config(tmp_path, "potential = 2:1/2\njmax = 3\nformat = csv\n")
+        target = tmp_path / "kernel.csv"
+        assert invoke(["kernel", "--config", conf, "--out", str(target)]) == (1, "", "error: no row 3\n")
+        assert not target.exists()
+
+    def test_table_write_holds_less_than_the_file(self, tmp_path):
+        # one string of the whole table and two copies of it (text + "\n"
+        # and its encoding) take 2.9 MB for this 0.7 MB file
+        K = solve_kernel_general(
+            KernelRequest(Potential.from_pairs([(2, F(1, 2)), (3, F(1, 3)), (6, F(1, 7))]), 1, 20)
+        )
+        target = tmp_path / "kernel.json"
+        tracemalloc.start()
+        try:
+            cli._emit(kernel_json_chunks(K), str(target))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < target.stat().st_size
 
 
 class TestConfigErrors:

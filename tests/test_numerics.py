@@ -418,6 +418,23 @@ class TestBatchedRule:
         if tol < 1e-12:
             assert len(set(calls)) > 1  # rows close at different levels
 
+    @pytest.mark.parametrize("tol", [1e-11, 1e-14])
+    def test_rows_equal_the_two_panel_batch(self, tol):
+        # rows at or outside supp psi integrate the one panel [lo, hi]; each
+        # keeps the value and estimate of [lo, clip(q), hi] with its empty panel
+        K = solve_kernel_general(KernelRequest(QUARTIC, 1, 8))
+
+        def g(q, qp):
+            return kernel_eval(K, q, qp, 0.7) * (self.PSI.deriv2(qp) * np.cos(3.0 * q) + self.PSI.value(qp))
+
+        lo, hi = self.PSI.support
+        q = np.array(self.QS).reshape(-1, 1)
+        ends = np.hstack([np.full_like(q, lo), np.clip(q, lo, hi), np.full_like(q, hi)])
+        ref_vals, ref_errs = _integrate(lambda x, i: g(q[i], x), ends, tol)
+        vals, errs = _apply(g, lambda q, qp: 1.0, self.PSI.support, self.QS, tol)
+        assert vals.tolist() == ref_vals.tolist()
+        assert errs.tolist() == ref_errs.tolist()
+
     def test_callable_kernel_gets_a_column_of_points(self):
         shapes = []
 
@@ -489,6 +506,9 @@ class TestWorkCounters:
             Potential.free(), FREE_KERNEL, TestCommutator.PHI, TestCommutator.PSI, 1.0, 1.0, QuadSpec(1e-10)
         )
         assert max(sizes) <= _NODE_CAP
+        # no node on the empty panel of an outer point at or outside supp psi,
+        # where the panels [lo, clip(q), hi] make 709,632
+        assert sum(sizes) == 542_464
 
 
 ONE_RULE_SCRIPT = """

@@ -1,5 +1,7 @@
 """Round-trip fidelity of the JSON/CSV interchange formats."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
@@ -7,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supratoa import cli
 from supratoa.algebra import GradedKernel, QPoly
 from supratoa.classical_toa import Potential, local_toa, shift_arrival
 from supratoa.kernel_solver import KernelRequest, solve_kernel_general, solve_kernel_harmonic
 from supratoa.numerics import CommutatorReport
 from supratoa.serialize import (
     kernel_from_json,
+    kernel_json_chunks,
     kernel_to_dict,
     kernel_to_json,
     poly_from_pairs,
@@ -93,26 +97,34 @@ class TestKernelJson:
 
 
 class TestKernelWriter:
-    """kernel_to_json writes json.dumps(kernel_to_dict(K), indent=2) entry by entry."""
+    """kernel_to_json writes json.dumps(kernel_to_dict(K), indent=2) entry by entry,
+    and the CLI streams the same chunks, then a newline, to a file or to stdout."""
 
     @staticmethod
-    def check(K):
+    def check(K, tmp_path):
         text = kernel_to_json(K)
         assert text == json.dumps(kernel_to_dict(K), indent=2)
         assert kernel_from_json(text) == K
+        path = tmp_path / "table.json"
+        cli._emit(kernel_json_chunks(K), str(path))
+        buf = io.BytesIO()
+        stream = io.TextIOWrapper(buf, encoding="utf-8", write_through=True)  # closes buf when collected
+        with contextlib.redirect_stdout(stream):
+            cli._emit(kernel_json_chunks(K), None)
+        assert path.read_bytes() == buf.getvalue() == (text + "\n").encode()
         return text
 
     @pytest.mark.parametrize("jmax", [0, 1, 10])
     @pytest.mark.parametrize("V", list(SOLVER_POTENTIALS.values()), ids=list(SOLVER_POTENTIALS))
-    def test_solver_tables(self, V, jmax):
-        self.check(solve_kernel_general(KernelRequest(V, F(3, 2), jmax)))
+    def test_solver_tables(self, V, jmax, tmp_path):
+        self.check(solve_kernel_general(KernelRequest(V, F(3, 2), jmax)), tmp_path)
 
     @pytest.mark.parametrize("build", list(BUILT_TABLES.values()), ids=list(BUILT_TABLES))
-    def test_built_tables(self, build):
-        self.check(build())
+    def test_built_tables(self, build, tmp_path):
+        self.check(build(), tmp_path)
 
-    def test_integer_coefficients_have_no_denominator(self):
-        text = self.check(BUILT_TABLES["integers-and-negatives"]())
+    def test_integer_coefficients_have_no_denominator(self, tmp_path):
+        text = self.check(BUILT_TABLES["integers-and-negatives"](), tmp_path)
         assert '"coeff": "-3"' in text and '"coeff": "7"' in text and '"coeff": "-1/3"' in text
         assert "/1\"" not in text
 
