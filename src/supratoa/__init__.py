@@ -1,5 +1,9 @@
 """Exact time-kernel construction for time-of-arrival operators, with
-Weyl-Wigner transform cross-checks and a floating-point verification layer."""
+Weyl-Wigner transform cross-checks and a floating-point verification layer.
+
+The names of the floating-point layer (supratoa.numerics) resolve on first
+access, so importing the package loads neither that module nor numpy.
+"""
 
 from .algebra import (
     GradedKernel,
@@ -46,15 +50,6 @@ from .kernel_solver import (
     solve_kernel_linear,
     solve_kernel_ungraded,
 )
-from .numerics import (
-    BumpProfile,
-    CommutatorReport,
-    QuadSpec,
-    apply_kernel,
-    commutator_residual,
-    hyper0f1,
-    kernel_integral_form,
-)
 from .transforms import (
     classical_limit,
     hbar2_residual,
@@ -63,6 +58,25 @@ from .transforms import (
 )
 
 __version__ = "0.1.0"
+
+# exported by supratoa.numerics, imported when one of them is first read
+_NUMERICS_NAMES = (
+    "BumpProfile",
+    "CommutatorReport",
+    "QuadSpec",
+    "apply_kernel",
+    "commutator_residual",
+    "hyper0f1",
+    "kernel_integral_form",
+)
+
+
+def __getattr__(name: str):
+    if name in _NUMERICS_NAMES:
+        from . import numerics
+
+        return getattr(numerics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ArgumentTooNegative",

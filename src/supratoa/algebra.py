@@ -5,16 +5,15 @@ happens on Rational values, or on integer numerators over a common
 denominator, so that equality tests between independently computed tables
 are meaningful. The one float path is the evaluation of a
 polynomial or a kernel table at a point or on a node array, which reads a
-tuple of float terms converted once per object.
+tuple of float terms converted once per object. numpy is imported by the
+functions of that path, so the exact layer starts without it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import QuadratureFailure
 
@@ -25,6 +24,9 @@ Rational = Fraction
 
 RationalLike = Rational | int | str
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def _power_fn(x):
     """x -> x**d with libm's pow, elementwise on arrays.
@@ -33,6 +35,8 @@ def _power_fn(x):
     np.float_power calls pow() per element, so an array evaluation equals
     the scalar evaluations element by element.
     """
+    import numpy as np
+
     return np.float_power if isinstance(x, np.ndarray) else pow
 
 
@@ -188,6 +192,8 @@ class QPoly:
             for d, c in self.coeffs.items():
                 total += c * x**d
             return total
+        import numpy as np
+
         terms = self._floats()
         if not terms:
             return np.zeros(x.shape) if isinstance(x, np.ndarray) else 0.0
@@ -474,6 +480,8 @@ class GradedKernel:
         range raises QuadratureFailure naming it.
         """
         if self._float_terms is None:
+            import numpy as np
+
             keys, coef = [], []
             for j, (nums, D) in enumerate(self.layers):
                 for (m, s), n in nums.items():
@@ -509,6 +517,8 @@ class GradedKernel:
         hbar asked for.
         """
         if self._float_form is None or self._float_form[0] != hbar:
+            import numpy as np
+
             keys, coef, rows, counts, slot = self._float_plan()
             w = float(self.mu) / (2.0 * hbar * hbar)
             wk = [1.0]
@@ -535,6 +545,8 @@ class GradedKernel:
         largest powers u^M and v^(2J): 5 J + 1 roundings from the collapse
         into C, J from z^j, 2 J + 1 and 2 M + 1 from the two Horner passes.
         """
+        import numpy as np
+
         self.dense_form(hbar)
         block = self._float_form[2]  # the rows of the dense form in Horner order
         _, _, _, counts, slot = self._float_plan()

@@ -17,11 +17,13 @@ import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import MomentumSeries, QPoly, Rational, RationalLike, poly_shift
 from .errors import NotAccessible, QuadratureFailure, ZeroMomentum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Interior margin for the accessibility guard: the inverse-square-root
 # integrand is only evaluated where H - V > margin * max(1, |H|).
@@ -30,6 +32,8 @@ _ACCESS_MARGIN = 1e-12
 
 def _finite(name: str, f, *args):
     """f(*args), or QuadratureFailure naming the quantity when it overflows."""
+    import numpy as np
+
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             value = f(*args)
@@ -81,6 +85,8 @@ class Potential:
         root is dropped for its imaginary part, and callers clip the points
         to their interval, where an extra point is harmless.
         """
+        import numpy as np
+
         vp = self.poly.derivative()
         top = vp.degree()
         dense = np.zeros(top + 1)
@@ -253,6 +259,8 @@ def _critical_values(V: Potential, x: float, q: float) -> tuple[np.ndarray, np.n
     The extrema of V on the interval lie among these points. Raises
     QuadratureFailure when V is beyond the float range at one of them.
     """
+    import numpy as np
+
     lo, hi = _interval(x, q)
     points = np.concatenate(([x, q], np.clip(V.critical_points, lo, hi)))
     values = _finite(f"V on [{lo:.6g}, {hi:.6g}]", V.value, points)
@@ -310,6 +318,8 @@ def convergence_margin(V: Potential, mu: float, q: float, x: float, p: float) ->
     """
     if p * p == 0:
         raise ZeroMomentum(f"convergence ratio undefined at p^2 = 0 (p = {p!r})")
+    import numpy as np
+
     _, values = _critical_values(V, float(x), float(q))
     m_q = float(np.max(np.abs(values[1] - values)))
     ratio = float(mu) * m_q / (p * p)

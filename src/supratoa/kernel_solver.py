@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-import numpy as np
-
 from .algebra import GradedKernel, QPoly, Rational, RationalLike
 from .classical_toa import Potential
 
@@ -233,6 +231,8 @@ def kernel_eval(K: GradedKernel, q, qp, hbar: float):
     column of points against node rows); points give a complex equal, signed
     zeros included, to the matching element of an array call.
     """
+    import numpy as np
+
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     t = K.tvalue(q + qp, q - qp, hbar)

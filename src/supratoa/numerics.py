@@ -1,8 +1,10 @@
 """Floating-point layer: 0F1 evaluation, integral-form kernel, operator
 application on bump functions, and the canonical-commutator harness.
 
-Everything here is double precision. The exact modules never import this one;
-agreement between the two layers is what several verification paths check.
+Everything here is double precision. The exact modules never import this one,
+and import numpy only inside their float functions, so the exact layer runs
+without either; the package and the CLI load this module on first use.
+Agreement between the two layers is what several verification paths check.
 """
 
 from __future__ import annotations

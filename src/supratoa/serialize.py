@@ -69,12 +69,23 @@ def kernel_rows(K: GradedKernel) -> Iterator[tuple[int, int, int, str]]:
 
     Each coefficient n / D_j is reduced by one gcd and written as
     format_rational writes its Fraction. The rows are generated one at a
-    time, so a writer holds the sorted entries but never all their texts.
+    time: each layer's keys are sorted on their own and the layers merged,
+    so a writer holds the sorted keys but never a tuple or a text per entry.
     """
-    entries = sorted((m, j, s, n, D) for j, (nums, D) in enumerate(K.layers) for (m, s), n in nums.items())
-    for m, j, s, n, D in entries:
+    import heapq  # not at module level: commands that write no table skip it
+
+    layers = K.layers
+    for m, j, s in heapq.merge(*(_sorted_keys(j, nums) for j, (nums, _) in enumerate(layers))):
+        nums, D = layers[j]
+        n = nums[m, s]
         g = math.gcd(n, D)
         yield m, j, s, f"{n // g}/{D // g}" if D != g else str(n // g)
+
+
+def _sorted_keys(j: int, nums: dict[tuple[int, int], int]) -> Iterator[tuple[int, int, int]]:
+    """(m, j, s) of layer j's entries, sorted."""
+    for m, s in sorted(nums):
+        yield m, j, s
 
 
 def kernel_json_chunks(K: GradedKernel) -> Iterator[str]:

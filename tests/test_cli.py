@@ -5,13 +5,19 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
+import numpy
 import pytest
 
-from supratoa import algebra, classical_toa, cli
+import supratoa
+from supratoa import algebra, cli
 from supratoa.classical_toa import Potential
 from supratoa.cli import main
 from supratoa.kernel_solver import KernelRequest, kernel_eval, solve_kernel_general, solve_kernel_harmonic
@@ -76,15 +82,15 @@ def poly_calls(monkeypatch):
 
 @pytest.fixture
 def roots_calls(monkeypatch):
-    """The coefficient arrays np.roots is called with, as lists."""
+    """The coefficient arrays numpy.roots is called with, as lists."""
     calls = []
-    roots = classical_toa.np.roots
+    roots = numpy.roots
 
     def counted(coeffs):
         calls.append(list(coeffs))
         return roots(coeffs)
 
-    monkeypatch.setattr(classical_toa.np, "roots", counted)
+    monkeypatch.setattr(numpy, "roots", counted)
     return calls
 
 
@@ -116,6 +122,15 @@ class TestEntryPoints:
         code, out, _ = invoke([cmd, "--seed-config"])
         assert code == 0
         assert "potential" in out
+
+    @pytest.mark.parametrize("flag", [["--config", "run.conf"], ["--format", "json"], ["--format", "csv"]])
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_seed_config_refuses_flags_without_effect(self, cmd, flag, tmp_path):
+        target = tmp_path / "seed.conf"
+        code, out, err = invoke([cmd, "--seed-config", *flag, "--out", str(target)])
+        assert code == 1
+        assert not out and not target.exists()
+        assert err == f"config error: {flag[0]} has no effect with --seed-config\n"
 
 
 class TestSeedConfigsReplay:
@@ -674,3 +689,71 @@ class TestToaCommand:
         assert data["verified"] is False
         assert data["tail_bound"] is None  # divergent tail must not leak bare Infinity
         assert math.isfinite(data["quadrature_value"])
+
+
+# Runs the argument lists given as JSON in a fresh interpreter, printing after
+# the package import, the CLI import and each run which float modules it holds.
+FRESH_RUNS_SCRIPT = """
+import json, sys
+def loaded():
+    return [m for m in ("numpy", "supratoa.numerics") if m in sys.modules]
+import supratoa
+seen = [["import supratoa", 0, loaded()]]
+from supratoa.cli import main
+seen.append(["import supratoa.cli", 0, loaded()])
+for args in json.loads(sys.argv[1]):
+    seen.append([" ".join(args), main(args), loaded()])
+print(json.dumps(seen))
+"""
+
+
+def fresh_runs(runs):
+    src = str(Path(supratoa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_RUNS_SCRIPT, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestFloatLayerLoadsOnFirstUse:
+    """numpy and supratoa.numerics load with the first command that needs floats."""
+
+    def test_exact_commands_never_load_them(self, tmp_path):
+        runs = [[cmd, "--seed-config", "--out", str(tmp_path / f"{cmd}.conf")] for cmd in COMMANDS]
+        for x in ("0", "1/2"):
+            conf = write_config(tmp_path, cli._SAMPLES["kernel"].replace("x = 0", f"x = {x}"), f"kernel-{x[0]}.conf")
+            for fmt in ("json", "csv"):
+                runs.append(["kernel", "--config", conf, "--format", fmt, "--out", str(tmp_path / f"k{x[0]}.{fmt}")])
+        for cmd in ("classical-limit", "weyl-compare"):
+            runs.append([cmd, "--config", str(tmp_path / f"{cmd}.conf"), "--out", str(tmp_path / cmd)])
+        seen = fresh_runs(runs)
+        assert [step for step, _, _ in seen] == ["import supratoa", "import supratoa.cli", *map(" ".join, runs)]
+        assert all(code == 0 and modules == [] for _, code, modules in seen), seen
+        for cmd in COMMANDS:
+            assert (tmp_path / f"{cmd}.conf").read_text() == cli._SAMPLES[cmd]
+
+    @pytest.mark.parametrize(
+        "cmd, modules",
+        [("toa", ["numpy"]), ("grid", ["numpy"]), ("commutator", ["numpy", "supratoa.numerics"])],
+    )
+    def test_float_commands_load_them_and_write_the_same_bytes(self, cmd, modules, tmp_path):
+        conf = write_config(tmp_path, cli._SAMPLES[cmd], f"{cmd}.conf")
+        fresh, here = tmp_path / "fresh.out", tmp_path / "here.out"
+        seen = fresh_runs([[cmd, "--config", conf, "--out", str(fresh)]])
+        assert [loaded for _, _, loaded in seen] == [[], [], modules]
+        assert seen[-1][1] == main([cmd, "--config", conf, "--out", str(here)]) == 0
+        assert fresh.read_bytes() == here.read_bytes()
+
+    def test_package_binds_every_name(self):
+        namespace = {}
+        exec("from supratoa import *", namespace)
+        assert all(namespace[name] is getattr(supratoa, name) for name in supratoa.__all__)
+        assert supratoa.BumpProfile is supratoa.numerics.BumpProfile
+        assert supratoa.commutator_residual is supratoa.numerics.commutator_residual
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            supratoa.nope
+        # the name perfbench/trace.py wraps
+        assert cli.commutator_residual is supratoa.numerics.commutator_residual

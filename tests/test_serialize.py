@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -10,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supratoa import cli
-from supratoa.algebra import GradedKernel, QPoly
+from supratoa.algebra import GradedKernel, QPoly, format_rational
 from supratoa.classical_toa import Potential, local_toa, shift_arrival
 from supratoa.kernel_solver import KernelRequest, solve_kernel_general, solve_kernel_harmonic
 from supratoa.numerics import CommutatorReport
 from supratoa.serialize import (
     kernel_from_json,
     kernel_json_chunks,
+    kernel_rows,
     kernel_to_dict,
     kernel_to_json,
     poly_from_pairs,
@@ -127,6 +130,31 @@ class TestKernelWriter:
         text = self.check(BUILT_TABLES["integers-and-negatives"](), tmp_path)
         assert '"coeff": "-3"' in text and '"coeff": "7"' in text and '"coeff": "-1/3"' in text
         assert "/1\"" not in text
+
+    def test_shuffled_table_rows_are_sorted(self, tmp_path):
+        # an __init__ table keeps its dict's order within each layer
+        K = solve_kernel_general(KernelRequest(SEXTIC, F(3, 2), 8))
+        items = list(K.A.items())
+        random.Random(5).shuffle(items)
+        shuffled = GradedKernel(dict(items), K.mu, K.truncation, K.potential)
+        assert any(list(nums) != sorted(nums) for nums, _ in shuffled.layers)
+        rows = list(kernel_rows(shuffled))
+        assert rows == [(m, j, s, format_rational(c)) for (m, j, s), c in sorted(K.A.items())]
+        assert self.check(shuffled, tmp_path) == kernel_to_json(K)
+
+    def test_rows_hold_no_tuple_per_entry(self):
+        K = solve_kernel_general(KernelRequest(SEXTIC, 1, 40))
+        K.layers  # built by the solver; read here so only the rows are traced
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in kernel_rows(K))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 33_661
+        # the sort of every (m, j, s, n, D_j) tuple at once peaked at 3.10 MB;
+        # the merged per-layer keys peak at about 0.29 MB
+        assert peak < 1_000_000
 
 
 class TestSeriesJson:
