@@ -14,7 +14,6 @@ import functools
 import itertools
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -275,6 +274,9 @@ def toa_quadrature(V: Potential, pt: PhasePoint, tol: float = 1e-10) -> float:
     series inside its convergence region. The trajectory reaches x iff
     H - V > _ACCESS_MARGIN * max(1, |H|) at x, q and every critical point of
     V between them; otherwise NotAccessible names the lowest such point.
+    The integral is the package's one rule (quadrature._integrate) on
+    graded panels (arrival.arrival_integral); QuadratureFailure is raised
+    when its error estimate exceeds max(tol, 1e-14 |integral|).
     """
     if pt.p * pt.p == 0:
         raise ZeroMomentum(f"time of arrival undefined at p^2 = 0 (p = {pt.p!r})")
@@ -290,19 +292,9 @@ def toa_quadrature(V: Potential, pt: PhasePoint, tol: float = 1e-10) -> float:
     if gaps[k] <= margin:
         raise NotAccessible(f"H - V = {gaps[k]:.3g} <= {margin:.3g} at q' = {points[k]:.6g}")
 
-    def integrand(qp: float) -> float:
-        # H - V is checked at the critical points only; between them float
-        # rounding can still reach 0, where math.sqrt would raise ValueError
-        kinetic = energy - V.value(qp)
-        if kinetic <= 0:
-            raise NotAccessible(f"H - V <= 0 at q' = {qp:.6g}")
-        return 1.0 / math.sqrt(kinetic)
+    from .arrival import arrival_integral  # the rule and its panels load with the first arrival time
 
-    from scipy import integrate  # slow to import; commands without quadrature skip it
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        value, err = integrate.quad(integrand, x, q, epsabs=tol, epsrel=0.0, limit=200)
+    value, err = arrival_integral(V, pt, energy, points, values, tol)
     if err > max(tol, 1e-14 * abs(value)):
         raise QuadratureFailure(f"estimated error {err:.3g} exceeds tol {tol:.3g}")
     sgn_p = 1.0 if pt.p > 0 else -1.0

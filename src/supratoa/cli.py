@@ -25,6 +25,7 @@ from .algebra import QPoly, parse_rational, poly_shift
 from .classical_toa import (
     PhasePoint,
     Potential,
+    _finite,
     convergence_margin,
     local_toa,
     series_tail_bound,
@@ -420,7 +421,7 @@ def cmd_toa(config: RunConfig) -> int:
     pt = PhasePoint(q=config.q, p=config.p, x=x, mu=mu)
     ratio, converges = convergence_margin(V, mu, config.q, x, config.p)
     series = local_toa(V, config.mu, config.x, config.kmax)
-    series_value = series.evaluate(config.q, config.p)
+    series_value = _finite("the series value at (q, p)", series.evaluate, config.q, config.p)
     quad_value = toa_quadrature(V, pt, config.quad_abs_tol)
     tail = series_tail_bound(ratio, mu, config.q, x, config.p, config.kmax)
     # quadrature tolerance plus roundoff; the tail alone can sit below both

@@ -9,23 +9,17 @@ Agreement between the two layers is what several verification paths check.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import GradedKernel
 from .classical_toa import Potential, _finite
-from .errors import (
-    ArgumentTooNegative,
-    NoConvergence,
-    QuadratureFailure,
-    ZeroOverlap,
-)
+from .errors import ArgumentTooNegative, NoConvergence, ZeroOverlap
 from .kernel_solver import kernel_eval
+from .quadrature import _NODE_CAP, _gauss_legendre, _integrate  # noqa: F401  _NODE_CAP, _gauss_legendre re-exported
 
 # Below this the alternating 0F1 series cancels too much for doubles: against
 # mpmath the error first passes 1e-9 * max(1, |f|) near z = -93.8, is 2.6e-6 at
@@ -35,19 +29,6 @@ _Z_CUTOFF = -90.0
 _MAX_TERMS = 800
 
 _SERIES_TOL = 1e-15
-
-# The one quadrature rule: Gauss-Legendre levels pair n with 2n nodes per
-# panel, from (_GL_FIRST, 2 * _GL_FIRST) up to a 2n of _GL_CAP.
-_GL_FIRST = 64
-_GL_CAP = 512
-
-# Node values per call of a batch integrand (whole rows, at least one):
-# it bounds the arrays of one kernel evaluation, and with them peak memory.
-_NODE_CAP = 4096
-
-# QUADPACK's roundoff floor on an error estimate: 50 machine epsilons times
-# the integral of |integrand|.
-_ROUNDOFF = 50.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -164,81 +145,6 @@ def _as_kernel_func(K, hbar: float):
     if callable(K):
         return K
     raise TypeError("kernel must be a GradedKernel or a callable (q, q') -> complex")
-
-
-@functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # banded Golub-Welsch; numpy's leggauss holds a dense n x n matrix
-    from scipy.special import roots_legendre
-
-    nodes, weights = roots_legendre(n)
-    nodes.flags.writeable = weights.flags.writeable = False  # shared by every caller
-    return nodes, weights
-
-
-def _integrate(g, ends, epsabs: float):
-    """The integral of g over the panels between consecutive ends, and its error estimate.
-
-    The one quadrature rule of this module. ends is one row of panel ends,
-    shape (P + 1,), or a batch of rows, shape (R, P + 1). g returns its
-    values at the nodes it gets: g(x) with x of shape (P n,) for one row,
-    once per level; g(x, i) for a batch, with x of shape (R', P n) holding
-    the nodes of rows i (an index array, in order) that are still open, in
-    calls of at most _NODE_CAP node values (but at least one row). Each
-    level sums n and 2n Gauss-Legendre nodes per panel; a row's estimate is
-    the sum over its panels of |I_2n - I_n| plus a roundoff floor of
-    50 eps * integral |integrand|, and n doubles until the estimate is
-    within epsabs or 2n reaches _GL_CAP. Each row stops at its own level,
-    with the value and estimate a call on that row alone would give. The 2n
-    sum is the value, a float or a complex as g's values are; a batch
-    returns arrays of R values and R estimates. A non-finite value, or an
-    estimate above 1e3 * epsabs, raises QuadratureFailure. A panel with
-    equal ends adds 0, and one with decreasing ends adds the negated
-    integral.
-    """
-    ends = np.asarray(ends, dtype=float)
-    rows = ends.reshape(-1, ends.shape[-1])
-    mid = 0.5 * (rows[:, 1:] + rows[:, :-1])[:, :, None]
-    half = 0.5 * (rows[:, 1:] - rows[:, :-1])[:, :, None]
-
-    def panel_sums(n: int, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t, w = _gauss_legendre(n)
-        step = max(1, _NODE_CAP // (n * half.shape[1])) if ends.ndim == 2 else 1
-        sums, mass = [], []
-        for start in range(0, len(live), step):
-            i = live[start : start + step]
-            h = half[i]
-            x = (mid[i] + h * t).reshape(len(i), -1)
-            wg = (h * w).reshape(len(i), -1) * (g(x, i) if ends.ndim == 2 else g(x[0]))
-            sums.append(wg.reshape(len(i), -1, n).sum(axis=2))
-            mass.append(np.abs(wg).sum(axis=1))
-        return np.concatenate(sums), np.concatenate(mass)
-
-    n = _GL_FIRST
-    live = np.arange(len(rows))
-    coarse, _ = panel_sums(n, live)
-    vals, errs = None, np.empty(len(rows))
-    while True:
-        fine, mass = panel_sums(2 * n, live)
-        val = fine.sum(axis=1)
-        finite = np.isfinite(val)
-        if not finite.all():
-            raise QuadratureFailure(f"non-finite integral over panels {rows[live[np.argmin(finite)]].tolist()}")
-        err = np.abs(fine - coarse).sum(axis=1) + _ROUNDOFF * mass
-        done = (err <= epsabs) | (2 * n >= _GL_CAP)
-        if vals is None:
-            vals = np.empty(len(rows), dtype=val.dtype)
-        vals[live[done]], errs[live[done]] = val[done], err[done]
-        if done.all():
-            break
-        live, coarse, n = live[~done], fine[~done], 2 * n
-    failed = errs > 1e3 * epsabs
-    if failed.any():
-        i = int(np.argmax(failed))
-        raise QuadratureFailure(f"quadrature error estimate {errs[i]:.3g} over panels {rows[i].tolist()}")
-    if ends.ndim == 1:
-        return vals[0].item(), errs[0].item()
-    return vals, errs
 
 
 def _apply(kernel_func, f, support: tuple[float, float], qs, epsabs: float) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ import hypothesis
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supratoa import classical_toa
+from supratoa import arrival, classical_toa
 from supratoa.algebra import QPoly, poly_antideriv
 from supratoa.classical_toa import (
     _ACCESS_MARGIN,
@@ -455,3 +455,104 @@ class TestArrayScans:
         with pytest.raises(NotAccessible) as exc:
             toa_quadrature(V, PhasePoint(0.0, 1.0, x=3.0))
         assert str(exc.value) == "H - V = -2.5 <= 1e-12 at q' = 3"
+
+
+def mp_arrival_time(V, q, x, p, mu=1.0):
+    """-sgn(p) sqrt(mu/2) integral_x^q dq'/sqrt(H - V) at 30 digits, H from the float q and p.
+
+    The breakpoints are x, q and the real critical points of V between them,
+    so every nearly singular point of the integrand is an end of a
+    tanh-sinh panel.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    lo, hi = _interval(x, q)
+    with mpmath.workdps(30):
+
+        def value(t):
+            return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * t**d for d, c in V.poly.coeffs.items())
+
+        energy = mpmath.mpf(p) ** 2 / (2 * mpmath.mpf(mu)) + value(mpmath.mpf(q))
+        breaks = sorted({mpmath.mpf(lo), mpmath.mpf(hi), *exact_real_critical_points(V, lo, hi, mpmath)})
+        integral = mpmath.quad(lambda t: 1 / mpmath.sqrt(energy - value(t)), breaks)
+        sign = 1 if q > x else -1
+        return float(-mpmath.sign(p) * mpmath.sqrt(mpmath.mpf(mu) / 2) * sign * integral)
+
+
+def assert_oracle_time(V, q, x, p, mu=1.0, tol=1e-10):
+    """toa_quadrature within max(1e3 tol, 1e-9 |t|) of the 30-digit value."""
+    ref = mp_arrival_time(V, q, x, p, mu)
+    got = toa_quadrature(V, PhasePoint(q, p, x=x, mu=mu), tol)
+    assert abs(got - ref) <= max(1e3 * tol, 1e-9 * abs(ref)), (got, ref)
+    return got, ref
+
+
+class TestQuadratureOracle:
+    """Nearly singular integrands against mpmath: H just above a barrier
+    peak, a gap that closes at the x or q end, and a sextic whose interior
+    critical points are panel ends."""
+
+    @pytest.mark.parametrize("a, b", [(F(1), F(1, 4)), (F(3, 2), F(1, 3)), (F(4), F(1, 8))])
+    @pytest.mark.parametrize("f", [1, 4, 16])
+    def test_above_a_barrier_peak(self, a, b, f):
+        # V = a q^2 - b q^4 peaks at q* = sqrt(a / 2b) with V'' = -4a; H sits
+        # above the peak by |V''| / 2 (f h)^2, h = q / 4096, for q past q*
+        V = Potential.from_pairs([(2, a), (4, -b)])
+        q_star = math.sqrt(float(a) / (2 * float(b)))
+        q = 1.2 * q_star
+        energy = float(a * a / (4 * b)) + 2 * float(a) * (f * q / 4096) ** 2
+        p = math.sqrt(2 * (energy - V.value(q)))
+        assert_oracle_time(V, q, 0.0, p)
+        assert_oracle_time(V, -q, 0.0, -p)
+
+    @pytest.mark.parametrize("gap", [1e-4, 1e-8, 1e-11])
+    @pytest.mark.parametrize(
+        "V, q, x",
+        [(HARMONIC, 0.1, 0.8), (HARMONIC, -0.3, -1.1), (Potential.from_pairs([(1, F(3, 4))]), -0.2, 0.9)],
+        ids=["harmonic", "harmonic-left", "linear"],
+    )
+    def test_x_barely_reachable(self, V, q, x, gap):
+        # H - V(x) = gap: the integrand peaks at the x end
+        p = math.sqrt(2 * (V.value(x) - V.value(q) + gap))
+        assert_oracle_time(V, q, x, p)
+
+    @pytest.mark.parametrize("p", [1e-3, 1e-5])
+    def test_slow_start_at_q(self, p):
+        # H - V(q) = p^2 / 2: the integrand peaks at the q end
+        assert_oracle_time(Potential.from_pairs([(1, F(3, 4))]), 0.6, -0.4, -p)
+        assert_oracle_time(HARMONIC, -0.5, 0.3, p)
+
+    # V' = q (q^2 - 1)(q^2 - 4): peaks at +-1 (V = 11/12), valleys at 0 and +-2
+    SEXTIC = Potential.from_pairs([(6, F(1, 6)), (4, F(-5, 4)), (2, F(2))])
+
+    @pytest.mark.parametrize("gap", [1.0, 1e-3, 1e-7, 1e-10])
+    @pytest.mark.parametrize("q, x", [(1.5, -1.5), (-2.3, 2.2), (0.5, 1.9)])
+    @pytest.mark.parametrize("mu", [1.0, 2.0])
+    def test_sextic_with_interior_critical_points(self, q, x, gap, mu):
+        # H = 11/12 + gap, above both peaks; float H - V loses the gap below
+        # about 1e-7, where only V's exact expansion at the peaks keeps it
+        p = math.sqrt(2 * mu * (float(F(11, 12)) + gap - self.SEXTIC.value(q)))
+        assert_oracle_time(self.SEXTIC, q, x, p, mu)
+        assert_oracle_time(self.SEXTIC, q, x, -p, mu)
+
+    def test_graded_panels_stay_few(self, monkeypatch):
+        # the barrier at f = 1 and a 1e-11 gap at x: a dozen panel ends at
+        # most, and the rule's first level (n and 2n nodes, one call each)
+        # meets the tolerance on them
+        seen = []
+        integrate = arrival._integrate
+
+        def counted(g, ends, *args):
+            calls = []
+            result = integrate(lambda x: calls.append(x.size) or g(x), ends, *args)
+            seen.append((len(ends), len(calls)))
+            return result
+
+        monkeypatch.setattr(arrival, "_integrate", counted)
+        V = Potential.from_pairs([(2, 1), (4, F(-1, 4))])
+        q = 1.2 * math.sqrt(2)
+        p = math.sqrt(2 * (1 + 2 * (q / 4096) ** 2 - V.value(q)))
+        toa_quadrature(V, PhasePoint(q, p))
+        p = math.sqrt(2 * (HARMONIC.value(0.8) - HARMONIC.value(0.1) + 1e-11))
+        toa_quadrature(HARMONIC, PhasePoint(0.1, p, x=0.8))
+        assert len(seen) == 2 and all(2 < ends <= 12 and calls == 2 for ends, calls in seen), seen
+

@@ -573,8 +573,9 @@ class TestGridCommand:
         assert err == "grid: 1 of 1 rows NaN (NotAccessible 1)\n"
 
     def test_toa_grid_bytes_are_pinned(self, tmp_path):
-        # blake2b (32-byte digest) of the CSV, recorded before the scans ran
-        # on arrays; p = 0 rows and rows behind V = q are NaN
+        # blake2b (32-byte digest) of the CSV, recorded when the arrival
+        # times moved to the package's Gauss-Legendre rule; p = 0 rows and
+        # rows behind V = q are NaN
         path = write_config(
             tmp_path,
             "grid_kind = toa\npotential = 1:1\nqmin = -1\nqmax = 1\nnq = 5\n"
@@ -582,8 +583,19 @@ class TestGridCommand:
         )
         code, out, err = invoke(["grid", "--config", path])
         assert code == 0
-        assert digest(out) == "4c835fcbeab9efca01ebac0a3c7a8b5f9bc79fe7eaba1e942980a6501f48dd81"
+        assert digest(out) == "05672db04645aa04f9257f8c64f32dfec4ae462722baf65754af619147c4dfc3"
         assert err == "grid: 13 of 35 rows NaN (NotAccessible 8, ZeroMomentum 5)\n"
+        # each value within one ulp of the closed form for V = q, x = 0:
+        # -sgn(p) sqrt(1/2) 2 (sqrt(H) - sqrt(H - q)), H = p^2/2 + q, at 30 digits
+        import mpmath
+
+        with mpmath.workdps(30):
+            for line in out.strip().splitlines()[1:]:
+                q, p, value = map(float, line.split(","))
+                if not math.isnan(value):
+                    energy = mpmath.mpf(p) ** 2 / 2 + q
+                    ref = -mpmath.sign(p) * mpmath.sqrt(2) * (mpmath.sqrt(energy) - mpmath.sqrt(energy - q))
+                    assert abs(value - ref) <= math.ulp(value), (q, p, value)
 
     def test_toa_grid_evaluates_polynomials_per_array(self, tmp_path, poly_calls):
         path = write_config(
@@ -665,6 +677,21 @@ class TestToaCommand:
         assert math.isnan(float(out.strip().splitlines()[1].split(",")[2]))
         assert err == f"grid: 1 of 1 rows NaN ({error} 1)\n"
 
+    @pytest.mark.parametrize(
+        "changes",
+        [{"p": "1e-17"}, {"potential": "6:1/7 3:1/3", "x": "1e16"}],
+        ids=["p-underflow", "shifted-coefficient-overflow"],
+    )
+    def test_series_value_beyond_the_float_range_is_named(self, tmp_path, changes):
+        # p^-(2k+1) overflows at kmax = 12; the iterates of V seen from
+        # x = 1e16 have coefficients no float holds
+        text = cli._SAMPLES["toa"]
+        for key, value in changes.items():
+            text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        code, out, err = invoke(["toa", "--config", write_config(tmp_path, text)])
+        assert (code, out) == (2, "")
+        assert err == "verification failure: the series value at (q, p) is beyond the float range\n"
+
     def test_forbidden_point_exits_two(self, tmp_path):
         path = write_config(tmp_path, "potential = 1:1\nq = 0\np = 1\nx = 3\n")
         code, _, err = invoke(["toa", "--config", path])
@@ -692,17 +719,20 @@ class TestToaCommand:
 
 
 # Runs the argument lists given as JSON in a fresh interpreter, printing after
-# the package import, the CLI import and each run which float modules it holds.
+# the package import, the CLI import and each run which float modules it
+# holds, and which of the quadrature modules and scipy's.
 FRESH_RUNS_SCRIPT = """
 import json, sys
 def loaded():
     return [m for m in ("numpy", "supratoa.numerics") if m in sys.modules]
+def rule():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy" or m in ("supratoa.arrival", "supratoa.quadrature"))
 import supratoa
-seen = [["import supratoa", 0, loaded()]]
+seen = [["import supratoa", 0, loaded(), rule()]]
 from supratoa.cli import main
-seen.append(["import supratoa.cli", 0, loaded()])
+seen.append(["import supratoa.cli", 0, loaded(), rule()])
 for args in json.loads(sys.argv[1]):
-    seen.append([" ".join(args), main(args), loaded()])
+    seen.append([" ".join(args), main(args), loaded(), rule()])
 print(json.dumps(seen))
 """
 
@@ -719,7 +749,8 @@ def fresh_runs(runs):
 
 
 class TestFloatLayerLoadsOnFirstUse:
-    """numpy and supratoa.numerics load with the first command that needs floats."""
+    """numpy and supratoa.numerics load with the first command that needs floats,
+    the quadrature modules with the first that integrates; no command loads scipy."""
 
     def test_exact_commands_never_load_them(self, tmp_path):
         runs = [[cmd, "--seed-config", "--out", str(tmp_path / f"{cmd}.conf")] for cmd in COMMANDS]
@@ -730,20 +761,27 @@ class TestFloatLayerLoadsOnFirstUse:
         for cmd in ("classical-limit", "weyl-compare"):
             runs.append([cmd, "--config", str(tmp_path / f"{cmd}.conf"), "--out", str(tmp_path / cmd)])
         seen = fresh_runs(runs)
-        assert [step for step, _, _ in seen] == ["import supratoa", "import supratoa.cli", *map(" ".join, runs)]
-        assert all(code == 0 and modules == [] for _, code, modules in seen), seen
+        assert [step for step, *_ in seen] == ["import supratoa", "import supratoa.cli", *map(" ".join, runs)]
+        assert all(code == 0 and modules == rule == [] for _, code, modules, rule in seen), seen
         for cmd in COMMANDS:
             assert (tmp_path / f"{cmd}.conf").read_text() == cli._SAMPLES[cmd]
 
     @pytest.mark.parametrize(
-        "cmd, modules",
-        [("toa", ["numpy"]), ("grid", ["numpy"]), ("commutator", ["numpy", "supratoa.numerics"])],
+        "cmd, kind, modules, rule",
+        [
+            ("toa", None, ["numpy"], ["supratoa.arrival", "supratoa.quadrature"]),
+            ("grid", "kernel", ["numpy"], []),
+            ("grid", "toa", ["numpy"], ["supratoa.arrival", "supratoa.quadrature"]),
+            ("commutator", None, ["numpy", "supratoa.numerics"], ["supratoa.quadrature"]),
+        ],
     )
-    def test_float_commands_load_them_and_write_the_same_bytes(self, cmd, modules, tmp_path):
-        conf = write_config(tmp_path, cli._SAMPLES[cmd], f"{cmd}.conf")
+    def test_float_commands_load_them_and_write_the_same_bytes(self, cmd, kind, modules, rule, tmp_path):
+        sample = cli._SAMPLES[cmd].replace("grid_kind = kernel", f"grid_kind = {kind}")
+        conf = write_config(tmp_path, sample, f"{cmd}.conf")
         fresh, here = tmp_path / "fresh.out", tmp_path / "here.out"
         seen = fresh_runs([[cmd, "--config", conf, "--out", str(fresh)]])
-        assert [loaded for _, _, loaded in seen] == [[], [], modules]
+        assert [loaded for _, _, loaded, _ in seen] == [[], [], modules]
+        assert [later for *_, later in seen] == [[], [], rule]  # and no scipy module
         assert seen[-1][1] == main([cmd, "--config", conf, "--out", str(here)]) == 0
         assert fresh.read_bytes() == here.read_bytes()
 

@@ -507,26 +507,33 @@ class TestWorkCounters:
         )
         assert max(sizes) <= _NODE_CAP
         # no node on the empty panel of an outer point at or outside supp psi,
-        # where the panels [lo, clip(q), hi] make 709,632
-        assert sum(sizes) == 542_464
+        # where the panels [lo, clip(q), hi] make 709,632; the outer row at
+        # q = 0.47105... takes a second inner level, its first-level estimate
+        # 1.0032e-13 against a tolerance of 1e-13 (the rule with 40-digit
+        # weights counts the same, scipy's roots_legendre 542,464)
+        assert sum(sizes) == 542_976
 
 
 ONE_RULE_SCRIPT = """
 import sys
 from fractions import Fraction as F
-from supratoa.classical_toa import Potential
+from supratoa.classical_toa import PhasePoint, Potential, toa_quadrature
 from supratoa.kernel_solver import solve_kernel_harmonic
-from supratoa.numerics import BumpProfile, QuadSpec, commutator_residual, kernel_integral_form
+from supratoa.numerics import BumpProfile, QuadSpec, _gauss_legendre, commutator_residual, kernel_integral_form
 V = Potential.from_pairs([(2, F(1, 2))])
 phi, psi = BumpProfile(0.0, 0.5), BumpProfile(0.1, 0.5)
 commutator_residual(V, solve_kernel_harmonic(1, 4), phi, psi, 1.0, 1.0, QuadSpec(1e-8))
 kernel_integral_form(V, 1.0, 1.0, 0.3, 0.1, QuadSpec(1e-12))
-print(sorted(m for m in sys.modules if m.startswith("scipy.integrate")))
+toa_quadrature(V, PhasePoint(0.2, 1.0))
+_gauss_legendre(512)
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
 
 
 def test_numerics_integrates_without_scipy_integrate():
-    # a fresh interpreter, since this test module imports scipy.integrate itself
+    # no scipy module at all, after the commutator, the integral form, an
+    # arrival time and the largest rule; a fresh interpreter, since this test
+    # module imports scipy.integrate itself
     src = str(Path(supratoa.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
