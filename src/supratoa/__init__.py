@@ -7,6 +7,7 @@ access, so importing the package loads neither that module nor numpy.
 
 from .algebra import (
     GradedKernel,
+    KernelCells,
     MomentumSeries,
     QPoly,
     Rational,
@@ -45,6 +46,7 @@ from .kernel_solver import (
     kernel_eval,
     pde_residual,
     solve_kernel_anharmonic,
+    solve_kernel_at_hbar,
     solve_kernel_general,
     solve_kernel_harmonic,
     solve_kernel_linear,
@@ -86,6 +88,7 @@ __all__ = [
     "ConfigError",
     "GradeError",
     "GradedKernel",
+    "KernelCells",
     "KernelRequest",
     "MomentumSeries",
     "NoConvergence",
@@ -118,6 +121,7 @@ __all__ = [
     "poly_shift",
     "shift_arrival",
     "solve_kernel_anharmonic",
+    "solve_kernel_at_hbar",
     "solve_kernel_general",
     "solve_kernel_harmonic",
     "solve_kernel_linear",

@@ -4,8 +4,9 @@ Everything stored in this module is exact; all recurrence and transform work
 happens on Rational values, or on integer numerators over a common
 denominator, so that equality tests between independently computed tables
 are meaningful. The one float path is the evaluation of a
-polynomial or a kernel table at a point or on a node array, which reads a
-tuple of float terms converted once per object. numpy is imported by the
+polynomial or a kernel table at a point or on a node array, which reads
+float terms converted once per object: a polynomial's coefficients, or a
+kernel's exact cells at one hbar, each rounded once. numpy is imported by the
 functions of that path, so the exact layer starts without it.
 """
 
@@ -370,7 +371,7 @@ class GradedKernel:
     modified copies.
     """
 
-    __slots__ = ("_A", "_layers", "mu", "truncation", "potential", "_float_terms", "_float_form")
+    __slots__ = ("_A", "_layers", "mu", "truncation", "potential", "_cells")
 
     def __init__(
         self,
@@ -414,9 +415,8 @@ class GradedKernel:
         mmax, jmax = truncation
         self.truncation = (int(mmax), int(jmax))
         self.potential = potential
-        # built on the first float evaluation: see _float_plan and dense_form
-        self._float_terms: tuple | None = None
-        self._float_form: tuple | None = None
+        # built on the first float evaluation: see cells
+        self._cells: KernelCells | None = None
 
     @property
     def A(self) -> dict[tuple[int, int, int], Rational]:
@@ -467,73 +467,132 @@ class GradedKernel:
             table.pop((m, j, s), None)
         return GradedKernel(table, self.mu, self.truncation, self.potential)
 
-    def _float_plan(self) -> tuple:
-        """Float coefficients and Horner layout, built on the first float evaluation.
+    def cells(self, hbar: float) -> "KernelCells":
+        """The table at one hbar, by exact collapse; kept for the last hbar asked for.
 
-        (keys, coef, rows, counts, slot): the (m, j, j - s) key and the float
-        value n / D_j of each entry in layer order; the powers m of u that
-        hold entries, ordered by their highest power j of z = v^2, highest
-        first, and the zero row m = 0 (its addition gives every result, an
-        empty table's too, the broadcast shape of u and v); counts[j], how
-        many of those rows reach z^j (a prefix); and slot[m], row m's place
-        in that order, or -1 when it has no entry. An entry beyond the float
-        range raises QuadratureFailure naming it.
+        With w = mu / 2 hbar^2 = a / b (hbar the rational the float is),
+        cell (m, j) is sum_s n a^(j-s) b^s over D_j b^j, the layer's
+        entries at that m summed on integers. Cells that cancel are left out.
         """
-        if self._float_terms is None:
-            import numpy as np
-
-            keys, coef = [], []
+        if self._cells is None or self._cells.hbar != hbar:
+            w = hbar_weight(self.mu, hbar)
+            a, b = w.numerator, w.denominator
+            apow, bpow = [1], [1]
+            for _ in self.layers[1:]:
+                apow.append(apow[-1] * a)
+                bpow.append(bpow[-1] * b)
+            layers = []
             for j, (nums, D) in enumerate(self.layers):
+                weights = [apow[j - s] * bpow[s] for s in range(max(j, 1))]
+                sums: dict[int, int] = {}
                 for (m, s), n in nums.items():
-                    keys.append((m, j, j - s))
-                    try:
-                        coef.append(n / D)  # int / int: the correctly rounded value of the entry
-                    except OverflowError:
-                        raise QuadratureFailure(
-                            f"kernel entry (m, j, s) = ({m}, {j}, {s}) is beyond the float range"
-                        ) from None
-            keys = np.array(keys, dtype=np.intp).reshape(-1, 3)
-            coef = np.array(coef)
-            mmax, jmax = keys[:, :2].max(axis=0) if len(keys) else (0, 0)
-            top = np.full(mmax + 1, -1)
-            np.maximum.at(top, keys[:, 0], keys[:, 1])
-            top[0] = 0  # every entry has m >= 1: row 0 is the zero row
-            rows = sorted(np.flatnonzero(top >= 0).tolist(), key=lambda m: -top[m])
-            counts = [sum(top[m] >= j for m in rows) for j in range(jmax + 1)]
-            slot = [-1] * (mmax + 1)
-            for i, m in enumerate(rows):
-                slot[m] = i
-            self._float_terms = (keys, coef, rows, counts, slot)
-        return self._float_terms
+                    sums[m] = sums.get(m, 0) + n * weights[s]
+                layers.append(({m: n for m, n in sums.items() if n}, D * bpow[j]))
+            self._cells = KernelCells(layers, self.mu, hbar)
+        return self._cells
 
     def dense_form(self, hbar: float) -> np.ndarray:
-        """The float matrix C[m, j] = sum_s A[(m, j, s)] w^(j-s), w = mu / 2 hbar^2.
+        """The float matrix of cells(hbar); see KernelCells.dense_form."""
+        return self.cells(hbar).dense_form(hbar)
 
-        Row m holds the coefficients of u^m (row 0 is zero: every entry has
-        m >= 1), column j those of z^j, z = v^2; an empty table gives a 1 x 1
-        zero matrix. Each entry is converted to a float once per table, w is
-        mu / (2 hbar hbar) in floats and its powers are repeated products;
-        the sum over s runs in layer order. The matrix is kept for the last
-        hbar asked for.
+    def tvalue(self, u, v, hbar: float):
+        """Float value of the truncated T(u, v): KernelCells.tvalue on cells(hbar)."""
+        return self.cells(hbar).tvalue(u, v, hbar)
+
+    def __eq__(self, other: object) -> bool:
+        """Entry-wise equality of the tables (and mass); truncation metadata
+        and the potential tag are not part of value identity."""
+        if not isinstance(other, GradedKernel):
+            return NotImplemented
+        return self.A == other.A and self.mu == other.mu
+
+    def __repr__(self) -> str:
+        mmax, jmax = self.truncation
+        return f"GradedKernel({len(self.A)} entries, mu={self.mu}, Mmax={mmax}, Jmax={jmax})"
+
+
+def hbar_weight(mu: RationalLike, hbar: float) -> Rational:
+    """w = mu / 2 hbar^2, exact, with hbar the rational the float is."""
+    if not hbar > 0:
+        raise ValueError("hbar must be positive")
+    return Fraction(mu) / (2 * Fraction(hbar) ** 2)
+
+
+class KernelCells:
+    """The kernel factor at one hbar: T(u, v) = sum C[m, j] u^m v^(2j).
+
+    C[m, j] = sum_s A[(m, j, s)] w^(j-s) with w = mu / 2 hbar^2, hbar the
+    rational the float is. The cells are exact and held like a table's
+    layers: layers[j] = ({m: n}, D_j), cell (m, j) being n / D_j, with no
+    zero cell. solve_kernel_at_hbar fills them directly, and
+    GradedKernel.cells collapses a graded table into them; C is the same
+    cells as a dict (m, j) -> Fraction. Every float evaluation of a kernel
+    runs here: each cell is rounded once, and Horner's scheme reads the
+    rounded cells.
+    """
+
+    __slots__ = ("layers", "mu", "hbar", "_float_form")
+
+    def __init__(self, layers: list[tuple[dict[int, int], int]], mu: RationalLike, hbar: float):
+        self.layers = layers
+        self.mu = Fraction(mu)
+        self.hbar = hbar
+        self._float_form: tuple | None = None
+
+    @property
+    def C(self) -> dict[tuple[int, int], Rational]:
+        """The cells as (m, j) -> Fraction, in layer order."""
+        return {(m, j): Fraction(n, D) for j, (nums, D) in enumerate(self.layers) for m, n in nums.items()}
+
+    def _floats(self, hbar: float) -> tuple:
+        """(dense, block, counts, slot), built on the first float evaluation.
+
+        dense[m, j] is cell (m, j) rounded once (n / D_j, Python's correctly
+        rounded integer division); row 0 is zero, since every cell has
+        m >= 1, and an empty table gives a 1 x 1 zero matrix. block holds
+        the rows of the powers m of u that hold cells, ordered by their
+        highest power j of z = v^2, highest first, and the zero row m = 0
+        (its addition gives every result, an empty table's too, the
+        broadcast shape of u and v); counts[j], how many of those rows
+        reach z^j (a prefix); and slot[m], row m's place in that order, or
+        -1 when it has no cell. A cell beyond the float range raises
+        QuadratureFailure naming it.
         """
-        if self._float_form is None or self._float_form[0] != hbar:
+        if hbar != self.hbar:
+            raise ValueError(f"cells solved at hbar = {self.hbar!r}, evaluated at {hbar!r}")
+        if self._float_form is None:
             import numpy as np
 
-            keys, coef, rows, counts, slot = self._float_plan()
-            w = float(self.mu) / (2.0 * hbar * hbar)
-            wk = [1.0]
-            for _ in range(len(counts) - 1):
-                wk.append(wk[-1] * w)
-            dense = np.zeros((len(slot), len(counts)))
-            np.add.at(dense, (keys[:, 0], keys[:, 1]), coef * np.array(wk)[keys[:, 2]])
-            self._float_form = (hbar, dense, dense[rows])
-        return self._float_form[1]
+            top = {0: 0}  # row m -> its highest j
+            ms, js, values = [], [], []
+            for j, (nums, D) in enumerate(self.layers):
+                for m, n in nums.items():
+                    try:
+                        values.append(n / D)
+                    except OverflowError:
+                        raise QuadratureFailure(f"kernel cell (m, j) = ({m}, {j}) is beyond the float range") from None
+                    ms.append(m)
+                    js.append(j)
+                    top[m] = j
+            dense = np.zeros((max(top) + 1, max(js, default=0) + 1))
+            dense[ms, js] = values
+            rows = sorted(sorted(top), key=lambda m: -top[m])
+            counts = [sum(top[m] >= j for m in rows) for j in range(dense.shape[1])]
+            slot = [-1] * len(dense)
+            for i, m in enumerate(rows):
+                slot[m] = i
+            self._float_form = (dense, dense[rows], counts, slot)
+        return self._float_form
+
+    def dense_form(self, hbar: float) -> np.ndarray:
+        """The float matrix C[m, j]: row m the coefficients of u^m, column j those of z^j."""
+        return self._floats(hbar)[0]
 
     def tvalue(self, u, v, hbar: float):
         """Float value of the truncated T(u, v), at a point or on node arrays.
 
-        Horner's scheme on dense_form(hbar), in z = v^2 and then in u. The z
-        pass runs on the rows of u-powers that hold entries at once, each
+        Horner's scheme on the rounded cells, in z = v^2 and then in u. The
+        z pass runs on the rows of u-powers that hold cells at once, each
         row joining at its highest power of z; the u pass skips the empty
         rows' additions. Points and arrays run the same float operations,
         so an array evaluation equals the scalar calls element by element;
@@ -541,15 +600,13 @@ class GradedKernel:
         the float u, v and w = mu / 2 hbar^2, and barring underflow, the
         error is at most
         gamma_n * sum over entries |A| w^(j-s) |u|^m v^(2j), with
-        gamma_n = n eps / (1 - n eps), eps = 2^-53 and n = 8 J + 2 M + 3 for
-        largest powers u^M and v^(2J): 5 J + 1 roundings from the collapse
-        into C, J from z^j, 2 J + 1 and 2 M + 1 from the two Horner passes.
+        gamma_n = n eps / (1 - n eps), eps = 2^-53 and n = 3 J + 2 M + 3 for
+        largest powers u^M and v^(2J): one rounding per cell, J from z^j,
+        2 J + 1 and 2 M + 1 from the two Horner passes.
         """
         import numpy as np
 
-        self.dense_form(hbar)
-        block = self._float_form[2]  # the rows of the dense form in Horner order
-        _, _, _, counts, slot = self._float_plan()
+        _, block, counts, slot = self._floats(hbar)
         z = v * v
         p = np.zeros((len(block),) + np.shape(z))
         column = (-1,) + (1,) * np.ndim(z)
@@ -567,12 +624,11 @@ class GradedKernel:
         return float(t)
 
     def __eq__(self, other: object) -> bool:
-        """Entry-wise equality of the tables (and mass); truncation metadata
-        and the potential tag are not part of value identity."""
-        if not isinstance(other, GradedKernel):
+        """Cell-wise equality, with mass and hbar."""
+        if not isinstance(other, KernelCells):
             return NotImplemented
-        return self.A == other.A and self.mu == other.mu
+        return self.C == other.C and self.mu == other.mu and self.hbar == other.hbar
 
     def __repr__(self) -> str:
-        mmax, jmax = self.truncation
-        return f"GradedKernel({len(self.A)} entries, mu={self.mu}, Mmax={mmax}, Jmax={jmax})"
+        cells = sum(len(nums) for nums, _ in self.layers)
+        return f"KernelCells({cells} cells, mu={self.mu}, hbar={self.hbar!r})"

@@ -39,6 +39,7 @@ from .kernel_solver import (
     classical_term,
     kernel_eval,
     pde_residual,
+    solve_kernel_at_hbar,
     solve_kernel_general,
 )
 from .serialize import (
@@ -335,7 +336,7 @@ def cmd_commutator(config: RunConfig) -> int:
     from . import numerics
 
     V = config.potential
-    K = solve_kernel_general(KernelRequest(V=V, mu=config.mu, Jmax=config.jmax))
+    K = solve_kernel_at_hbar(KernelRequest(V=V, mu=config.mu, Jmax=config.jmax), config.hbar)
     phi = numerics.BumpProfile(config.phi_center, config.phi_halfwidth)
     psi = numerics.BumpProfile(config.psi_center, config.psi_halfwidth)
     quad = numerics.QuadSpec(abs_tol=config.quad_abs_tol)
@@ -381,10 +382,10 @@ def cmd_grid(config: RunConfig) -> int:
     """Write a CSV evaluation grid (kernel values or arrival times)."""
     import numpy as np
 
-    V = _effective_potential(config)
     qs = np.linspace(config.qmin, config.qmax, config.nq)
     if config.grid_kind == "kernel":
-        K = solve_kernel_general(KernelRequest(V=V, mu=config.mu, Jmax=config.jmax))
+        V = _effective_potential(config)
+        K = solve_kernel_at_hbar(KernelRequest(V=V, mu=config.mu, Jmax=config.jmax), config.hbar)
         qps = np.linspace(config.qpmin, config.qpmax, config.nqp)
         values = kernel_eval(K, qs[:, None], qps, config.hbar)
         rows = (

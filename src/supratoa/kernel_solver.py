@@ -12,6 +12,9 @@ and matching monomials gives
 with seed A[(1, 0, 0)] = 1/4 and all out-of-range references zero. The
 general solver fills layer j by pushing each nonzero entry of layer j-1-r
 through the difference terms with that r, so empty cells are never visited.
+At one float hbar the same loop fills the cells C[m, j] = sum_s A[(m, j, s)]
+(mu/2 hbar^2)^(j-s) directly (solve_kernel_at_hbar), for the commands that
+only evaluate T.
 
 Specialized solvers for the harmonic, purely quartic, and general linear
 potentials reach the same tables through independent routes and serve as
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .algebra import GradedKernel, QPoly, Rational, RationalLike
+from .algebra import GradedKernel, KernelCells, QPoly, Rational, RationalLike, hbar_weight
 from .classical_toa import Potential
 
 
@@ -70,40 +73,75 @@ def _difference_terms(V: Potential) -> list[tuple[int, int, Rational]]:
     ]
 
 
+def _push_layers(
+    moves: list[tuple[int, int, Rational]], Jmax: int, stride: int
+) -> list[tuple[dict[int, int], int]]:
+    """The layer loop of the recurrence, on integer keys k = m * stride + s.
+
+    Each move (r, delta, c) is one difference term: it reads layer j-1-r,
+    moves key k to k + delta and multiplies by c. Layer j is pushed on
+    integers: each layer is held as integer numerators over its minimal
+    common denominator D_j, move c = p/q reads layer j-1-r scaled to
+    E = lcm(D_{j-1-r} q) over the active moves, and key k of layer j is its
+    integer sum t over 2 j m E, m = k // stride. With M the lcm of the
+    layer's m, that is t (M / m) over L = 2 j E M, and one gcd of L and
+    those numerators reduces the layer to D_j. Layers list their keys in
+    ascending order.
+    """
+    terms = [(r, delta, c.numerator, c.denominator) for r, delta, c in moves]
+    layers: list[tuple[dict[int, int], int]] = [({stride: 1}, 4)]  # the seed (m, s) = (1, 0)
+    for j in range(1, Jmax + 1):
+        active = [(delta, p, q, layers[j - 1 - r]) for r, delta, p, q in terms if r < j]
+        E = math.lcm(*(D * q for _, _, q, (_, D) in active))
+        sums: dict[int, int] = {}
+        for delta, p, q, (nums, D) in active:
+            scale = p * (E // (D * q))
+            for k, n in nums.items():
+                k += delta
+                sums[k] = sums.get(k, 0) + scale * n
+        M = math.lcm(*(k // stride for k, t in sums.items() if t))
+        layer = {k: t * (M // (k // stride)) for k, t in sorted(sums.items()) if t}
+        L = 2 * j * E * M
+        g = math.gcd(L, *layer.values())
+        layers.append(({k: n // g for k, n in layer.items()}, L // g))
+    return layers
+
+
 def solve_kernel_general(req: KernelRequest) -> GradedKernel:
     """Fill the graded coefficient table for an arbitrary polynomial potential.
 
     Works for every polynomial potential including V = 0 (free particle),
     whose exact kernel is the single seed entry A[(1, 0, 0)] = 1/4.
 
-    Layer j is pushed on integers, and the table is those layers: each
-    layer is held as integer numerators over its minimal common denominator
-    D_j, difference term p/q reads layer j-1-r scaled to E = lcm(D_{j-1-r} q)
-    over the active terms, and entry (m, s) of layer j is its integer sum t
-    over 2 j m E. With M the lcm of the layer's m, that is t (M / m) over
-    L = 2 j E M, and one gcd of L and those numerators reduces the layer to
-    D_j. Nothing is cut: by induction over the difference terms every entry
-    of layer j has m <= D*j + 1 for a degree-D potential, inside the
-    recorded default_mmax truncation.
+    The table is the layers of _push_layers, with difference term (l, r)
+    moving entry (m, s) to (m + l - 2r, s + r) with its coefficient; keys
+    are m (Jmax + 1) + s, read back as (m, s). Nothing is cut: by induction
+    over the difference terms every entry of layer j has m <= D*j + 1 for a
+    degree-D potential, inside the recorded default_mmax truncation.
     """
-    terms = [(l, r, c.numerator, c.denominator) for l, r, c in _difference_terms(req.V)]
-    layers: list[tuple[dict[tuple[int, int], int], int]] = [({(1, 0): 1}, 4)]
-    for j in range(1, req.Jmax + 1):
-        active = [(l, r, p, q, layers[j - 1 - r]) for l, r, p, q in terms if r < j]
-        E = math.lcm(*(D * q for _, _, _, q, (_, D) in active))
-        sums: dict[tuple[int, int], int] = {}
-        for l, r, p, q, (nums, D) in active:
-            scale = p * (E // (D * q))
-            for (mp, sp), n in nums.items():
-                key = (mp + l - 2 * r, sp + r)
-                sums[key] = sums.get(key, 0) + scale * n
-        M = math.lcm(*(m for (m, _), t in sums.items() if t))
-        layer = {(m, s): t * (M // m) for (m, s), t in sorted(sums.items()) if t}
-        L = 2 * j * E * M
-        g = math.gcd(L, *layer.values())
-        layers.append(({key: n // g for key, n in layer.items()}, L // g))
+    stride = req.Jmax + 1
+    moves = [(r, (l - 2 * r) * stride + r, c) for l, r, c in _difference_terms(req.V)]
+    layers = [
+        ({divmod(k, stride): n for k, n in nums.items()}, D)
+        for nums, D in _push_layers(moves, req.Jmax, stride)
+    ]
     mmax = default_mmax(max(req.V.degree, 0), req.Jmax)
     return GradedKernel.from_layers(layers, req.mu, (mmax, req.Jmax), potential=req.V.poly)
+
+
+def solve_kernel_at_hbar(req: KernelRequest, hbar: float) -> KernelCells:
+    """The cells C[m, j] = sum_s A[(m, j, s)] w^(j-s) of the table at one hbar.
+
+    The same layers as solve_kernel_general's, with w = mu / 2 hbar^2 (hbar
+    the rational the float is) folded into the recurrence: difference term
+    (l, r) moves cell m to m + l - 2r with its coefficient times w, so
+    C[m, j] = (w / 2 j m) sum c_{l,r} C[m-l+2r, j-1-r]. The cells are `==`
+    to GradedKernel.cells(hbar) of the graded table, in fewer entries: one
+    per (m, j) instead of one per (m, j, s).
+    """
+    w = hbar_weight(req.mu, hbar)
+    moves = [(r, l - 2 * r, c * w) for l, r, c in _difference_terms(req.V)]
+    return KernelCells(_push_layers(moves, req.Jmax, 1), req.mu, hbar)
 
 
 def solve_kernel_harmonic(muomega: RationalLike, Jmax: int, mu: RationalLike = 1) -> GradedKernel:
@@ -223,13 +261,15 @@ def classical_term(V: Potential, mu: RationalLike, Jmax: int) -> dict[tuple[int,
     }
 
 
-def kernel_eval(K: GradedKernel, q, qp, hbar: float):
+def kernel_eval(K: GradedKernel | KernelCells, q, qp, hbar: float):
     """Truncated value of the full kernel <q|T|q'> = (mu/i hbar) T(q,q') sgn(q-q').
 
-    Purely imaginary whenever T is real (it is); zero on the diagonal by the
-    sgn(0) = 0 convention. q and q' may be numpy arrays that broadcast (a
-    column of points against node rows); points give a complex equal, signed
-    zeros included, to the matching element of an array call.
+    K is a graded table or its cells at this hbar; either way T is Horner's
+    scheme on the cells rounded once (KernelCells.tvalue). Purely imaginary
+    whenever T is real (it is); zero on the diagonal by the sgn(0) = 0
+    convention. q and q' may be numpy arrays that broadcast (a column of
+    points against node rows); points give a complex equal, signed zeros
+    included, to the matching element of an array call.
     """
     import numpy as np
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GradedKernel
+from .algebra import GradedKernel, KernelCells
 from .classical_toa import Potential, _finite
 from .errors import ArgumentTooNegative, NoConvergence, ZeroOverlap
 from .kernel_solver import kernel_eval
@@ -140,11 +140,11 @@ def kernel_integral_form(
 
 
 def _as_kernel_func(K, hbar: float):
-    if isinstance(K, GradedKernel):
+    if isinstance(K, (GradedKernel, KernelCells)):
         return lambda q, qp: kernel_eval(K, q, qp, hbar)
     if callable(K):
         return K
-    raise TypeError("kernel must be a GradedKernel or a callable (q, q') -> complex")
+    raise TypeError("kernel must be a GradedKernel, KernelCells or a callable (q, q') -> complex")
 
 
 def _apply(kernel_func, f, support: tuple[float, float], qs, epsabs: float) -> tuple[np.ndarray, np.ndarray]:
@@ -177,9 +177,9 @@ def _apply(kernel_func, f, support: tuple[float, float], qs, epsabs: float) -> t
 def apply_kernel(K, phi: BumpProfile, qgrid, hbar: float, quad: QuadSpec) -> list[complex]:
     """Sample (T phi)(q) = integral <q|T|q'> phi(q') dq' on a grid of points.
 
-    K may be a GradedKernel or a callable kernel (q, q') that takes a column
-    of points q, shape (R, 1), and node rows q', shape (R, N), and returns
-    their values (a constant broadcasts). Every returned value is checked
+    K may be a GradedKernel, its KernelCells at hbar, or a callable kernel
+    (q, q') that takes a column of points q, shape (R, 1), and node rows q',
+    shape (R, N), and returns their values (a constant broadcasts). Every returned value is checked
     finite; the integral of a bounded kernel against a bump must be.
     """
     if hbar <= 0:
@@ -225,17 +225,18 @@ def commutator_residual(
     split at the ends of supp(psi) inside it, where the outer integrand
     inherits the flat, non-analytic edge of psi, and the overlap and the
     norms on one panel each. So a tolerance the rule cannot certify raises
-    QuadratureFailure instead of returning a report, and so does a table
-    entry or a coefficient of V beyond the float range. The error budget sums
-    the outer estimate, hbar times the overlap estimate, and the largest
-    inner estimate integrated over supp(phi); it has no term for truncation
-    of the table.
+    QuadratureFailure instead of returning a report, and so does a cell of
+    the table at hbar or a coefficient of V beyond the float range. K is a
+    GradedKernel, its KernelCells at hbar (what the commutator command
+    solves), or a callable. The error budget sums the outer estimate, hbar
+    times the overlap estimate, and the largest inner estimate integrated
+    over supp(phi); it has no term for truncation of the table.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     kf = _as_kernel_func(K, hbar)
     # floats of the table, then of V: one beyond the float range is named
-    if isinstance(K, GradedKernel):
+    if isinstance(K, (GradedKernel, KernelCells)):
         K.dense_form(hbar)
     for d, c in V.poly.coeffs.items():
         _finite(f"V coefficient of q^{d}", operator.truediv, c.numerator, c.denominator)

@@ -1,5 +1,6 @@
 """Exact-arithmetic substrate: rationals, polynomials, series containers."""
 
+import functools
 import math
 import re
 from fractions import Fraction as F
@@ -20,7 +21,7 @@ from supratoa.algebra import (
     poly_shift,
 )
 from supratoa.classical_toa import Potential
-from supratoa.kernel_solver import KernelRequest, solve_kernel_general, solve_kernel_harmonic
+from supratoa.kernel_solver import KernelRequest, solve_kernel_at_hbar, solve_kernel_general, solve_kernel_harmonic
 
 SEXTIC = Potential.from_pairs([(2, F(1, 2)), (3, F(1, 3)), (6, F(1, 7))])
 
@@ -324,6 +325,33 @@ ROUNDING_TABLES = {
     "free": solve_kernel_general(KernelRequest(Potential.free(), F(3, 2), 4)),
 }
 
+# the requests that solve the same tables at one hbar
+AT_HBAR_REQUESTS = {
+    "sextic-j20": KernelRequest(SEXTIC, 1, 20),
+    "quartic-j8": KernelRequest(Potential.from_pairs([(4, 1)]), 1, 8),
+    "harmonic-j10": KernelRequest(Potential.from_pairs([(2, F(1, 2))]), 1, 10),
+    "free": KernelRequest(Potential.free(), F(3, 2), 4),
+}
+
+
+@functools.cache
+def at_hbar(name, hbar):
+    cells = solve_kernel_at_hbar(AT_HBAR_REQUESTS[name], hbar)
+    assert cells == ROUNDING_TABLES[name].cells(hbar)
+    return cells
+
+
+def within_horner_bound(K, T, u, v, hbar):
+    """|T(u, v) - exact| of the float tvalue of T, against gamma_n times the
+    absolute sum of the table K, n = 8 J + 2 M + 3."""
+    mmax = max(m for m, _, _ in K.A)
+    jmax = max(j for _, j, _ in K.A)
+    n = 8 * jmax + 2 * mmax + 3
+    eps = F(1, 2**53)
+    gamma = n * eps / (1 - n * eps)
+    error = abs(F(T.tvalue(u, v, hbar)) - exact_t(K, u, v, hbar))
+    return error <= gamma * exact_t(K, u, v, hbar, absolute=True)
+
 
 class TestHornerRoundingBound:
     """tvalue against exact rationals, within Horner's forward error bound."""
@@ -334,13 +362,15 @@ class TestHornerRoundingBound:
     @settings(max_examples=25, deadline=None)
     def test_error_within_bound(self, name, hbar, u, v):
         K = ROUNDING_TABLES[name]
-        mmax = max(m for m, _, _ in K.A)
-        jmax = max(j for _, j, _ in K.A)
-        n = 8 * jmax + 2 * mmax + 3
-        eps = F(1, 2**53)
-        gamma = n * eps / (1 - n * eps)
-        error = abs(F(K.tvalue(u, v, hbar)) - exact_t(K, u, v, hbar))
-        assert error <= gamma * exact_t(K, u, v, hbar, absolute=True)
+        assert within_horner_bound(K, K, u, v, hbar)
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    @pytest.mark.parametrize("name", list(ROUNDING_TABLES))
+    @given(u=points, v=points)
+    @settings(max_examples=25, deadline=None)
+    def test_at_hbar_error_within_bound(self, name, hbar, u, v):
+        # the cells solved at hbar, against the same exact sum and n
+        assert within_horner_bound(ROUNDING_TABLES[name], at_hbar(name, hbar), u, v, hbar)
 
     def test_exact_helper_matches_direct_sum(self):
         K = ROUNDING_TABLES["quartic-j8"]

@@ -437,7 +437,7 @@ class TestCommutatorCommand:
 
     @pytest.mark.parametrize(
         "jmax, message",
-        [(4, "kernel entry (m, j, s) = (3, 1, 0)"), (0, "V coefficient of q^2")],
+        [(4, "kernel cell (m, j) = (3, 1)"), (0, "V coefficient of q^2")],
         ids=["table-entry", "potential-coefficient"],
     )
     def test_float_overflow_is_named(self, tmp_path, jmax, message):
@@ -473,7 +473,7 @@ class TestGridCommand:
         text = "grid_kind = kernel\npotential = 2:1e400\njmax = 4\nnq = 2\nnqp = 2\n"
         code, out, err = invoke(["grid", "--config", write_config(tmp_path, text)])
         assert (code, out) == (2, "")
-        assert err == "verification failure: kernel entry (m, j, s) = (3, 1, 0) is beyond the float range\n"
+        assert err == "verification failure: kernel cell (m, j) = (3, 1) is beyond the float range\n"
 
     def test_kernel_grid_row_count(self, tmp_path):
         path = write_config(
@@ -616,6 +616,61 @@ class TestGridCommand:
         code, _, _ = invoke(["grid", "--config", path])
         assert code == 0
         assert roots_calls == [[6 / 7, 0.0, 0.0, 1.0, 1.0, 0.0]]  # V' = 6/7 q^5 + q^2 + q
+
+
+class TestFloatCommandsSolveAtHbar:
+    """kernel grid and commutator solve the table's cells at their hbar; the
+    exact commands solve the graded table, once each."""
+
+    @pytest.mark.parametrize(
+        "cmd, solves",
+        [
+            ("kernel", {"solve_kernel_general": 1}),
+            ("classical-limit", {"solve_kernel_general": 1}),
+            ("weyl-compare", {"solve_kernel_general": 1}),
+            ("grid", {"solve_kernel_at_hbar": 1}),
+            ("commutator", {"solve_kernel_at_hbar": 1}),
+        ],
+    )
+    def test_solver_calls(self, tmp_path, monkeypatch, cmd, solves):
+        calls = {}
+        for name in ("solve_kernel_general", "solve_kernel_at_hbar"):
+            solve = getattr(cli, name)
+
+            def counted(*args, _solve=solve, _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _solve(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        code, _, _ = invoke([cmd, "--config", write_config(tmp_path, cli._SAMPLES[cmd])])
+        assert code == 0
+        assert calls == solves
+
+    @pytest.mark.parametrize(
+        "cmd, changes, message",
+        [
+            (
+                "grid",
+                {"potential": "4:-1 2:1", "hbar": "1e-300", "mu": "1e300", "qpmin": "1"},
+                r"kernel cell \(m, j\) = \(3, 1\) is beyond the float range",
+            ),
+            (
+                "commutator",
+                {"potential": "0:5", "hbar": "1e-300", "psi_center": "1e-17"},
+                r"quadrature error estimate \S+ over panels \[.*\]",
+            ),
+        ],
+        ids=["kernel-grid", "commutator"],
+    )
+    def test_hbar_squared_underflow_is_named(self, tmp_path, cmd, changes, message):
+        # hbar^2 is 0 in floats; w = mu / 2 hbar^2 is exact, so no float
+        # division by zero is left to reach the generic error line
+        text = cli._SAMPLES[cmd]
+        for key, value in changes.items():
+            text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        code, out, err = invoke([cmd, "--config", write_config(tmp_path, text)])
+        assert (code, out) == (2, "")
+        assert re.fullmatch(f"verification failure: {message}\n", err), err
 
 
 class TestToaCommand:

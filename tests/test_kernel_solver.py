@@ -21,6 +21,7 @@ from supratoa.kernel_solver import (
     linear_sigma_table,
     pde_residual,
     solve_kernel_anharmonic,
+    solve_kernel_at_hbar,
     solve_kernel_general,
     solve_kernel_harmonic,
     solve_kernel_linear,
@@ -218,6 +219,52 @@ class TestKernelEval:
             kernel_eval(K, 0.1, 0.0, 0.0)
 
 
+# dyadic, non-dyadic and far-from-1 hbar; 2^-20 makes w = mu 2^39
+HBARS = [1.0, 0.5, 0.7, 1.7, 2.0**-20]
+masses = st.fractions(min_value=F(1, 8), max_value=4, max_denominator=8).filter(lambda mu: mu > 0)
+
+
+class TestAtHbar:
+    """The cells solved at one hbar are the graded table collapsed at that hbar."""
+
+    @given(potentials, masses, st.integers(0, 10), st.sampled_from(HBARS))
+    @settings(max_examples=60, deadline=None)
+    def test_cells_equal_exact_collapse(self, V, mu, jmax, hbar):
+        req = KernelRequest(V, mu, jmax)
+        K = solve_kernel_general(req)
+        at = solve_kernel_at_hbar(req, hbar)
+        w = mu / (2 * F(hbar) ** 2)
+        collapse = {}
+        for (m, j, s), c in K.A.items():
+            collapse[m, j] = collapse.get((m, j), 0) + c * w ** (j - s)
+        assert at.C == {key: c for key, c in collapse.items() if c}
+        assert at == K.cells(hbar)
+        # each layer is over its minimal common denominator
+        assert all(math.gcd(D, *nums.values()) == 1 for nums, D in at.layers)
+        assert np.array_equal(at.dense_form(hbar), K.dense_form(hbar))
+
+    def test_one_cell_per_power_pair(self):
+        V = Potential.from_pairs([(2, F(1, 2)), (3, F(1, 3)), (6, F(1, 7))])
+        K = general(V, 1, 20)
+        at = solve_kernel_at_hbar(KernelRequest(V, 1, 20), 1.0)
+        assert (len(K.A), len(at.C)) == (4431, 1107)
+        assert set(at.C) == {(m, j) for m, j, _ in K.A}
+
+    def test_cells_hold_one_hbar(self):
+        at = solve_kernel_at_hbar(KernelRequest(QUARTIC, 1, 4), 0.7)
+        assert at.tvalue(0.3, 0.2, 0.7) == general(QUARTIC, 1, 4).tvalue(0.3, 0.2, 0.7)
+        with pytest.raises(ValueError, match="hbar"):
+            at.tvalue(0.3, 0.2, 1.0)
+        with pytest.raises(ValueError, match="hbar must be positive"):
+            solve_kernel_at_hbar(KernelRequest(QUARTIC, 1, 4), 0.0)
+
+    def test_collapse_is_kept_for_the_last_hbar(self):
+        K = general(QUARTIC, 1, 6)
+        first = K.cells(0.7)
+        assert K.cells(0.7) is first
+        assert K.cells(1.0) is not first and K.cells(1.0).hbar == 1.0
+
+
 class TestResidual:
     def test_free_kernel_solves_exactly(self):
         assert pde_residual(general(Potential.free(), 1, 0), Potential.free()) is None
@@ -327,10 +374,12 @@ class TestLayerOrder:
         assert list(checked.A.items()) == list(K.A.items())
         assert all(type(c) is F and c for c in K.A.values())
         assert (K.truncation, K.potential) == (checked.truncation, checked.potential)
-        # the layers derived from the Fractions are the solver's, and give
-        # the same floats
+        # the layers derived from the Fractions are the solver's, and both
+        # collapse at hbar to the cells of the at-hbar solve, to the bit
         assert checked.layers == K.layers
-        assert K._float_plan()[1].tolist() == [c.numerator / c.denominator for c in K.A.values()]
+        at = solve_kernel_at_hbar(KernelRequest(V, F(3, 2), 12), 0.7)
+        assert at == K.cells(0.7) == checked.cells(0.7)
+        assert np.array_equal(at.dense_form(0.7), K.dense_form(0.7))
         assert np.array_equal(checked.dense_form(0.7), K.dense_form(0.7))
 
 
