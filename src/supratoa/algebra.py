@@ -356,11 +356,10 @@ class GradedKernel:
 
     The table is held as layers: layers[j] = ({(m, s): n}, D_j), entry
     (m, j, s) being the integer n over the layer's common denominator D_j,
-    the form the general solver fills. A is the same table as a dict
-    (m, j, s) -> Fraction. Each form is built from the other on first use
-    and then kept: solver tables build A only for the callers that ask for
-    it, tables built through __init__ derive their layers (D_j the lcm of
-    the layer's denominators, entries in A's order within a layer).
+    the form the general solver fills. __init__ builds the layers from
+    entries, D_j the lcm of the layer's denominators and keys in the order
+    given; A is the same table as a dict (m, j, s) -> Fraction, built on
+    each access, and cells(hbar) the cells that float evaluations read.
 
     Solver outputs additionally satisfy A[(m, 0, 0)] = 1/4 when m = 1 and 0
     otherwise; that is a property of solutions (verified by boundary_check),
@@ -371,7 +370,7 @@ class GradedKernel:
     modified copies.
     """
 
-    __slots__ = ("_A", "_layers", "mu", "truncation", "potential", "_cells")
+    __slots__ = ("layers", "mu", "truncation", "potential")
 
     def __init__(
         self,
@@ -381,15 +380,24 @@ class GradedKernel:
         potential: QPoly | None = None,
     ):
         items = entries.items() if isinstance(entries, Mapping) else entries
-        table: dict[tuple[int, int, int], Rational] = {}
+        rows: dict[int, dict[tuple[int, int], Rational]] = {}
         for (m, j, s), c in items:
             m, j, s = int(m), int(j), int(s)
             if m < 1 or j < 0 or s < 0 or s > max(j - 1, 0):
                 raise ValueError(f"invalid kernel index (m={m}, j={j}, s={s})")
             c = Fraction(c)
             if c:
-                table[(m, j, s)] = c
-        self._fill(table, None, mu, truncation, potential)
+                rows.setdefault(j, {})[(m, s)] = c
+        layers = []
+        for j in range(max(rows, default=-1) + 1):
+            row = rows.get(j, {})
+            D = math.lcm(*(c.denominator for c in row.values()))
+            layers.append(({key: c.numerator * (D // c.denominator) for key, c in row.items()}, D))
+        self.layers = layers
+        self.mu = Fraction(mu)
+        mmax, jmax = truncation
+        self.truncation = (int(mmax), int(jmax))
+        self.potential = potential
 
     @classmethod
     def from_layers(
@@ -404,48 +412,18 @@ class GradedKernel:
         The list is taken as it is, neither copied nor checked: for solvers
         that build it themselves. Every other caller goes through __init__.
         """
-        kernel = cls.__new__(cls)
-        kernel._fill(None, layers, mu, truncation, potential)
+        kernel = cls((), mu, truncation, potential)
+        kernel.layers = layers
         return kernel
-
-    def _fill(self, table, layers, mu, truncation, potential) -> None:
-        self._A = table
-        self._layers = layers
-        self.mu = Fraction(mu)
-        mmax, jmax = truncation
-        self.truncation = (int(mmax), int(jmax))
-        self.potential = potential
-        # built on the first float evaluation: see cells
-        self._cells: KernelCells | None = None
 
     @property
     def A(self) -> dict[tuple[int, int, int], Rational]:
         """The table as (m, j, s) -> Fraction, in layer order."""
-        if self._A is None:
-            self._A = {
-                (m, j, s): Fraction(n, D)
-                for j, (nums, D) in enumerate(self._layers)
-                for (m, s), n in nums.items()
-            }
-        return self._A
-
-    @property
-    def layers(self) -> list[tuple[dict[tuple[int, int], int], int]]:
-        """layers[j] = ({(m, s): numerator}, D_j) for j up to the largest stored j."""
-        if self._layers is None:
-            rows: dict[int, dict[tuple[int, int], Rational]] = {}
-            for (m, j, s), c in self._A.items():
-                rows.setdefault(j, {})[(m, s)] = c
-            layers = []
-            for j in range(max(rows, default=-1) + 1):
-                row = rows.get(j, {})
-                D = math.lcm(*(c.denominator for c in row.values()))
-                layers.append(({key: c.numerator * (D // c.denominator) for key, c in row.items()}, D))
-            self._layers = layers
-        return self._layers
+        return {(m, j, s): Fraction(n, D) for j, (nums, D) in enumerate(self.layers) for (m, s), n in nums.items()}
 
     def entry(self, m: int, j: int, s: int) -> Rational:
-        return self.A.get((m, j, s), Fraction(0))
+        nums, D = self.layers[j] if 0 <= j < len(self.layers) else ({}, 1)
+        return Fraction(nums.get((m, s), 0), D)
 
     def items(self) -> Iterator[tuple[tuple[int, int, int], Rational]]:
         return iter(sorted(self.A.items()))
@@ -455,49 +433,33 @@ class GradedKernel:
         return {(m, j): c for (m, j, s1), c in self.A.items() if s1 == s}
 
     def max_grade(self) -> int:
-        return max((s for (_, _, s) in self.A), default=0)
+        return max((s for nums, _ in self.layers for _, s in nums), default=0)
 
     def replace_entry(self, m: int, j: int, s: int, coeff: RationalLike) -> "GradedKernel":
-        """New table with one entry overridden (used for negative controls)."""
-        table = dict(self.A)
-        c = Fraction(coeff)
-        if c:
-            table[(m, j, s)] = c
-        else:
-            table.pop((m, j, s), None)
-        return GradedKernel(table, self.mu, self.truncation, self.potential)
+        """New table with one entry overridden (used for negative controls); 0 removes it."""
+        return GradedKernel({**self.A, (m, j, s): coeff}, self.mu, self.truncation, self.potential)
 
     def cells(self, hbar: float) -> "KernelCells":
-        """The table at one hbar, by exact collapse; kept for the last hbar asked for.
+        """The table at one hbar, by exact collapse; a new KernelCells on each call.
 
         With w = mu / 2 hbar^2 = a / b (hbar the rational the float is),
         cell (m, j) is sum_s n a^(j-s) b^s over D_j b^j, the layer's
         entries at that m summed on integers. Cells that cancel are left out.
         """
-        if self._cells is None or self._cells.hbar != hbar:
-            w = hbar_weight(self.mu, hbar)
-            a, b = w.numerator, w.denominator
-            apow, bpow = [1], [1]
-            for _ in self.layers[1:]:
-                apow.append(apow[-1] * a)
-                bpow.append(bpow[-1] * b)
-            layers = []
-            for j, (nums, D) in enumerate(self.layers):
-                weights = [apow[j - s] * bpow[s] for s in range(max(j, 1))]
-                sums: dict[int, int] = {}
-                for (m, s), n in nums.items():
-                    sums[m] = sums.get(m, 0) + n * weights[s]
-                layers.append(({m: n for m, n in sums.items() if n}, D * bpow[j]))
-            self._cells = KernelCells(layers, self.mu, hbar)
-        return self._cells
-
-    def dense_form(self, hbar: float) -> np.ndarray:
-        """The float matrix of cells(hbar); see KernelCells.dense_form."""
-        return self.cells(hbar).dense_form(hbar)
-
-    def tvalue(self, u, v, hbar: float):
-        """Float value of the truncated T(u, v): KernelCells.tvalue on cells(hbar)."""
-        return self.cells(hbar).tvalue(u, v, hbar)
+        w = hbar_weight(self.mu, hbar)
+        a, b = w.numerator, w.denominator
+        apow, bpow = [1], [1]
+        for _ in self.layers[1:]:
+            apow.append(apow[-1] * a)
+            bpow.append(bpow[-1] * b)
+        layers = []
+        for j, (nums, D) in enumerate(self.layers):
+            weights = [apow[j - s] * bpow[s] for s in range(max(j, 1))]
+            sums: dict[int, int] = {}
+            for (m, s), n in nums.items():
+                sums[m] = sums.get(m, 0) + n * weights[s]
+            layers.append(({m: n for m, n in sums.items() if n}, D * bpow[j]))
+        return KernelCells(layers, self.mu, hbar)
 
     def __eq__(self, other: object) -> bool:
         """Entry-wise equality of the tables (and mass); truncation metadata
@@ -508,7 +470,8 @@ class GradedKernel:
 
     def __repr__(self) -> str:
         mmax, jmax = self.truncation
-        return f"GradedKernel({len(self.A)} entries, mu={self.mu}, Mmax={mmax}, Jmax={jmax})"
+        entries = sum(len(nums) for nums, _ in self.layers)
+        return f"GradedKernel({entries} entries, mu={self.mu}, Mmax={mmax}, Jmax={jmax})"
 
 
 def hbar_weight(mu: RationalLike, hbar: float) -> Rational:
@@ -526,14 +489,17 @@ class KernelCells:
     layers: layers[j] = ({m: n}, D_j), cell (m, j) being n / D_j, with no
     zero cell. solve_kernel_at_hbar fills them directly, and
     GradedKernel.cells collapses a graded table into them; C is the same
-    cells as a dict (m, j) -> Fraction. Every float evaluation of a kernel
-    runs here: each cell is rounded once, and Horner's scheme reads the
-    rounded cells.
+    cells as a dict (m, j) -> Fraction. The cells hold their mu and their
+    hbar, which must be positive. Every float evaluation of a kernel runs
+    here: each cell is rounded once, and Horner's scheme reads the rounded
+    cells.
     """
 
     __slots__ = ("layers", "mu", "hbar", "_float_form")
 
     def __init__(self, layers: list[tuple[dict[int, int], int]], mu: RationalLike, hbar: float):
+        if not hbar > 0:
+            raise ValueError("hbar must be positive")
         self.layers = layers
         self.mu = Fraction(mu)
         self.hbar = hbar
@@ -544,7 +510,7 @@ class KernelCells:
         """The cells as (m, j) -> Fraction, in layer order."""
         return {(m, j): Fraction(n, D) for j, (nums, D) in enumerate(self.layers) for m, n in nums.items()}
 
-    def _floats(self, hbar: float) -> tuple:
+    def _floats(self) -> tuple:
         """(dense, block, counts, slot), built on the first float evaluation.
 
         dense[m, j] is cell (m, j) rounded once (n / D_j, Python's correctly
@@ -558,8 +524,6 @@ class KernelCells:
         -1 when it has no cell. A cell beyond the float range raises
         QuadratureFailure naming it.
         """
-        if hbar != self.hbar:
-            raise ValueError(f"cells solved at hbar = {self.hbar!r}, evaluated at {hbar!r}")
         if self._float_form is None:
             import numpy as np
 
@@ -584,11 +548,11 @@ class KernelCells:
             self._float_form = (dense, dense[rows], counts, slot)
         return self._float_form
 
-    def dense_form(self, hbar: float) -> np.ndarray:
+    def dense_form(self) -> np.ndarray:
         """The float matrix C[m, j]: row m the coefficients of u^m, column j those of z^j."""
-        return self._floats(hbar)[0]
+        return self._floats()[0]
 
-    def tvalue(self, u, v, hbar: float):
+    def tvalue(self, u, v):
         """Float value of the truncated T(u, v), at a point or on node arrays.
 
         Horner's scheme on the rounded cells, in z = v^2 and then in u. The
@@ -606,7 +570,7 @@ class KernelCells:
         """
         import numpy as np
 
-        _, block, counts, slot = self._floats(hbar)
+        _, block, counts, slot = self._floats()
         z = v * v
         p = np.zeros((len(block),) + np.shape(z))
         column = (-1,) + (1,) * np.ndim(z)

@@ -113,9 +113,11 @@ def _parse_potential(raw: str) -> Potential:
 
 def _to_rational(key: str, raw: str) -> Fraction:
     try:
-        return parse_rational(raw)
+        value = parse_rational(raw)
+        str(value)  # outputs write the value back, within int-to-str conversion's digit limit
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: {exc}") from exc
+    return value
 
 
 def _to_float(key: str, raw: str) -> float:
@@ -129,6 +131,17 @@ def _to_float(key: str, raw: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"key {key!r}: not a finite number: {raw!r}")
     return value
+
+
+def _float_of(key: str, value: Fraction) -> float:
+    """The float of an exact config value; ConfigError when it is infinite or a nonzero value's is 0."""
+    try:
+        result = float(value)
+    except OverflowError:
+        raise ConfigError(f"key {key!r}: its float is infinite (beyond the float range)") from None
+    if value and not result:
+        raise ConfigError(f"key {key!r}: its float is 0 (below the float range)")
+    return result
 
 
 def _to_int(key: str, raw: str) -> int:
@@ -197,6 +210,9 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("bump halfwidths must be positive")
     if min(config.nq, config.nqp, config.np) < 1:
         raise ConfigError("grid point counts must be >= 1")
+    for lo, hi in (("qmin", "qmax"), ("qpmin", "qpmax"), ("pmin", "pmax")):
+        if not math.isfinite(getattr(config, hi) - getattr(config, lo)):
+            raise ConfigError(f"keys {lo!r} and {hi!r}: the span {hi} - {lo} is beyond the float range")
 
 
 def load_config(path: str, command: str) -> RunConfig:
@@ -340,7 +356,7 @@ def cmd_commutator(config: RunConfig) -> int:
     phi = numerics.BumpProfile(config.phi_center, config.phi_halfwidth)
     psi = numerics.BumpProfile(config.psi_center, config.psi_halfwidth)
     quad = numerics.QuadSpec(abs_tol=config.quad_abs_tol)
-    report = numerics.commutator_residual(V, K, phi, psi, float(config.mu), config.hbar, quad)
+    report = numerics.commutator_residual(V, K, phi, psi, _float_of("mu", config.mu), config.hbar, quad)
     payload = residual_report_to_dict(report)
     payload["threshold"] = config.threshold
     payload["passed"] = report.residual < config.threshold
@@ -382,43 +398,48 @@ def cmd_grid(config: RunConfig) -> int:
     """Write a CSV evaluation grid (kernel values or arrival times)."""
     import numpy as np
 
+    mu = _float_of("mu", config.mu)  # both kinds: kernel_eval also takes mu as a float
     qs = np.linspace(config.qmin, config.qmax, config.nq)
+    nan_reasons = Counter()
     if config.grid_kind == "kernel":
         V = _effective_potential(config)
         K = solve_kernel_at_hbar(KernelRequest(V=V, mu=config.mu, Jmax=config.jmax), config.hbar)
         qps = np.linspace(config.qpmin, config.qpmax, config.nqp)
-        values = kernel_eval(K, qs[:, None], qps, config.hbar)
+        with np.errstate(over="ignore", invalid="ignore"):  # T overflows at large |u|: counted below
+            values = kernel_eval(K, qs[:, None], qps)
+        nan_reasons["overflow"] = int(np.count_nonzero(~np.isfinite(values)))
+        header, count = "q,qp,re,im", values.size
         rows = (
             f"{q!r},{qp!r},{val.real!r},{val.imag!r}"
             for q, row in zip(qs.tolist(), values.tolist())
             for qp, val in zip(qps.tolist(), row)
         )
-        _emit(_csv("q,qp,re,im", rows), config.out)
-        return 0
-    ps = np.linspace(config.pmin, config.pmax, config.np)
-    rows = []
-    nan_reasons = Counter()
-    for q in qs:
-        for p in ps:
-            pt = PhasePoint(q=float(q), p=float(p), x=float(config.x), mu=float(config.mu))
-            try:
-                value = toa_quadrature(config.potential, pt, config.quad_abs_tol)
-            except SupratoaError as exc:
-                value = math.nan
-                nan_reasons[type(exc).__name__] += 1
-            rows.append(f"{float(q)!r},{float(p)!r},{value!r}")
-    if nan_reasons:
-        reasons = ", ".join(f"{name} {count}" for name, count in sorted(nan_reasons.items()))
-        click.echo(f"grid: {nan_reasons.total()} of {len(rows)} rows NaN ({reasons})", err=True)
-    _emit(_csv("q,p,toa", rows), config.out)
+    else:
+        x = _float_of("x", config.x)
+        ps = np.linspace(config.pmin, config.pmax, config.np)
+        rows = []
+        for q in qs:
+            for p in ps:
+                pt = PhasePoint(q=float(q), p=float(p), x=x, mu=mu)
+                try:
+                    value = toa_quadrature(config.potential, pt, config.quad_abs_tol)
+                except SupratoaError as exc:
+                    value = math.nan
+                    nan_reasons[type(exc).__name__] += 1
+                rows.append(f"{float(q)!r},{float(p)!r},{value!r}")
+        header, count = "q,p,toa", len(rows)
+    if nan_reasons.total():
+        reasons = ", ".join(f"{name} {n}" for name, n in sorted(nan_reasons.items()))
+        click.echo(f"grid: {nan_reasons.total()} of {count} rows NaN ({reasons})", err=True)
+    _emit(_csv(header, rows), config.out)
     return 0
 
 
 def cmd_toa(config: RunConfig) -> int:
     """Classical arrival time at one phase point: series, quadrature, margin."""
     V = config.potential
-    mu = float(config.mu)
-    x = float(config.x)
+    mu = _float_of("mu", config.mu)
+    x = _float_of("x", config.x)
     pt = PhasePoint(q=config.q, p=config.p, x=x, mu=mu)
     ratio, converges = convergence_margin(V, mu, config.q, x, config.p)
     series = local_toa(V, config.mu, config.x, config.kmax)

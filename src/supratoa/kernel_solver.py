@@ -261,22 +261,20 @@ def classical_term(V: Potential, mu: RationalLike, Jmax: int) -> dict[tuple[int,
     }
 
 
-def kernel_eval(K: GradedKernel | KernelCells, q, qp, hbar: float):
+def kernel_eval(cells: KernelCells, q, qp):
     """Truncated value of the full kernel <q|T|q'> = (mu/i hbar) T(q,q') sgn(q-q').
 
-    K is a graded table or its cells at this hbar; either way T is Horner's
-    scheme on the cells rounded once (KernelCells.tvalue). Purely imaginary
-    whenever T is real (it is); zero on the diagonal by the sgn(0) = 0
-    convention. q and q' may be numpy arrays that broadcast (a column of
-    points against node rows); points give a complex equal, signed zeros
-    included, to the matching element of an array call.
+    mu and hbar are the cells' own, and T is Horner's scheme on the cells
+    rounded once (KernelCells.tvalue). Purely imaginary whenever T is real
+    (it is); zero on the diagonal by the sgn(0) = 0 convention. q and q'
+    may be numpy arrays that broadcast (a column of points against node
+    rows); points give a complex equal, signed zeros included, to the
+    matching element of an array call.
     """
     import numpy as np
 
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    t = K.tvalue(q + qp, q - qp, hbar)
-    return (float(K.mu) / (1j * hbar)) * t * np.sign(q - qp)
+    t = cells.tvalue(q + qp, q - qp)
+    return (float(cells.mu) / (1j * cells.hbar)) * t * np.sign(q - qp)
 
 
 def _residual_monomials(K: GradedKernel, V: Potential) -> Iterator[tuple[int, dict[tuple[int, int, int], Rational]]]:

@@ -19,7 +19,7 @@ from .algebra import GradedKernel, KernelCells
 from .classical_toa import Potential, _finite
 from .errors import ArgumentTooNegative, NoConvergence, ZeroOverlap
 from .kernel_solver import kernel_eval
-from .quadrature import _NODE_CAP, _gauss_legendre, _integrate  # noqa: F401  _NODE_CAP, _gauss_legendre re-exported
+from .quadrature import _integrate
 
 # Below this the alternating 0F1 series cancels too much for doubles: against
 # mpmath the error first passes 1e-9 * max(1, |f|) near z = -93.8, is 2.6e-6 at
@@ -140,10 +140,16 @@ def kernel_integral_form(
 
 
 def _as_kernel_func(K, hbar: float):
-    if isinstance(K, (GradedKernel, KernelCells)):
-        return lambda q, qp: kernel_eval(K, q, qp, hbar)
+    """(cells at hbar or None, kernel function (q, q') -> <q|T|q'>) of a kernel
+    argument: a GradedKernel is collapsed, cells at another hbar refused."""
+    if isinstance(K, GradedKernel):
+        K = K.cells(hbar)
+    if isinstance(K, KernelCells):
+        if K.hbar != hbar:
+            raise ValueError(f"cells solved at hbar = {K.hbar!r}, evaluated at {hbar!r}")
+        return K, lambda q, qp: kernel_eval(K, q, qp)
     if callable(K):
-        return K
+        return None, K
     raise TypeError("kernel must be a GradedKernel, KernelCells or a callable (q, q') -> complex")
 
 
@@ -182,9 +188,7 @@ def apply_kernel(K, phi: BumpProfile, qgrid, hbar: float, quad: QuadSpec) -> lis
     shape (R, N), and returns their values (a constant broadcasts). Every returned value is checked
     finite; the integral of a bounded kernel against a bump must be.
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    kf = _as_kernel_func(K, hbar)
+    _, kf = _as_kernel_func(K, hbar)  # a table refuses hbar <= 0; a callable does not read it
     qs = np.asarray(qgrid, dtype=float)
     if not qs.size:
         return []
@@ -234,10 +238,10 @@ def commutator_residual(
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    kf = _as_kernel_func(K, hbar)
+    cells, kf = _as_kernel_func(K, hbar)
     # floats of the table, then of V: one beyond the float range is named
-    if isinstance(K, (GradedKernel, KernelCells)):
-        K.dense_form(hbar)
+    if cells is not None:
+        cells.dense_form()
     for d, c in V.poly.coeffs.items():
         _finite(f"V coefficient of q^{d}", operator.truediv, c.numerator, c.denominator)
     inner_tol = max(quad.abs_tol * 1e-3, 5e-15)

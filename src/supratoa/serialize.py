@@ -9,46 +9,60 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import TYPE_CHECKING, Iterator
 
 from .algebra import GradedKernel, MomentumSeries, QPoly, format_rational, parse_rational
+from .errors import ConfigError
 
 if TYPE_CHECKING:
     from .numerics import CommutatorReport
 
 
+def _too_long(what: str, keys: str) -> ConfigError:
+    """The error for an exact number with more digits than int-to-str conversion writes."""
+    limit = f"more than {sys.get_int_max_str_digits()} digits, the limit of int-to-str conversion"
+    return ConfigError(f"{what} has {limit}; {keys} set its size")
+
+
 def poly_to_pairs(p: QPoly) -> list[list]:
-    return [[d, format_rational(c)] for d, c in sorted(p.coeffs.items())]
+    pairs = []
+    for d, c in sorted(p.coeffs.items()):
+        try:
+            pairs.append([d, format_rational(c)])
+        except ValueError:
+            keys = "'potential' and 'x', and in a series 'mu', 'jmax' and 'kmax',"
+            raise _too_long(f"coefficient of q^{d}", keys) from None
+    return pairs
 
 
 def poly_from_pairs(pairs) -> QPoly:
     return QPoly({int(d): parse_rational(c) for d, c in pairs})
 
 
-def kernel_to_dict(K: GradedKernel) -> dict:
+def _kernel_head(K: GradedKernel) -> dict:
+    """Every field of a table's dict but its entries."""
     mmax, jmax = K.truncation
     return {
         "potential": poly_to_pairs(K.potential) if K.potential is not None else None,
         "mu": format_rational(K.mu),
         "jmax": jmax,
         "mmax": mmax,
-        "entries": [
-            {"m": m, "j": j, "s": s, "coeff": format_rational(c)}
-            for (m, j, s), c in K.items()
-        ],
     }
+
+
+def kernel_to_dict(K: GradedKernel) -> dict:
+    return {**_kernel_head(K), "entries": [{"m": m, "j": j, "s": s, "coeff": c} for m, j, s, c in kernel_rows(K)]}
 
 
 def kernel_from_dict(data: dict) -> GradedKernel:
-    entries = {
-        (int(e["m"]), int(e["j"]), int(e["s"])): parse_rational(e["coeff"])
-        for e in data["entries"]
-    }
+    # GradedKernel checks the indices and makes them ints
+    entries = {(e["m"], e["j"], e["s"]): parse_rational(e["coeff"]) for e in data["entries"]}
     potential = poly_from_pairs(data["potential"]) if data.get("potential") is not None else None
     return GradedKernel(
         entries,
         parse_rational(data["mu"]),
-        (int(data["mmax"]), int(data["jmax"])),
+        (data["mmax"], data["jmax"]),
         potential=potential,
     )
 
@@ -68,18 +82,22 @@ def kernel_rows(K: GradedKernel) -> Iterator[tuple[int, int, int, str]]:
     """(m, j, s, coefficient text) of every entry, sorted by (m, j, s).
 
     Each coefficient n / D_j is reduced by one gcd and written as
-    format_rational writes its Fraction. The rows are generated one at a
-    time: each layer's keys are sorted on their own and the layers merged,
-    so a writer holds the sorted keys but never a tuple or a text per entry.
+    format_rational writes its Fraction; one too long to write raises
+    ConfigError naming it. The rows are generated one at a time: each
+    layer's keys are sorted on their own and the layers merged, so a writer
+    holds the sorted keys but never a tuple or a text per entry.
     """
     import heapq  # not at module level: commands that write no table skip it
 
     layers = K.layers
-    for m, j, s in heapq.merge(*(_sorted_keys(j, nums) for j, (nums, _) in enumerate(layers))):
-        nums, D = layers[j]
-        n = nums[m, s]
-        g = math.gcd(n, D)
-        yield m, j, s, f"{n // g}/{D // g}" if D != g else str(n // g)
+    try:
+        for m, j, s in heapq.merge(*(_sorted_keys(j, nums) for j, (nums, _) in enumerate(layers))):
+            nums, D = layers[j]
+            n = nums[m, s]
+            g = math.gcd(n, D)
+            yield m, j, s, f"{n // g}/{D // g}" if D != g else str(n // g)
+    except ValueError:  # from int-to-str conversion only
+        raise _too_long(f"kernel entry (m, j, s) = ({m}, {j}, {s})", "'potential', 'x' and 'jmax'") from None
 
 
 def _sorted_keys(j: int, nums: dict[tuple[int, int], int]) -> Iterator[tuple[int, int, int]]:
@@ -90,13 +108,7 @@ def _sorted_keys(j: int, nums: dict[tuple[int, int], int]) -> Iterator[tuple[int
 
 def kernel_json_chunks(K: GradedKernel) -> Iterator[str]:
     """json.dumps(kernel_to_dict(K), indent=2) in pieces: the head, each entry, the tail."""
-    mmax, jmax = K.truncation
-    head = {
-        "potential": poly_to_pairs(K.potential) if K.potential is not None else None,
-        "mu": format_rational(K.mu),
-        "jmax": jmax,
-        "mmax": mmax,
-    }
+    head = _kernel_head(K)
     # a value nested one level deep is its own dump indented by two spaces
     fields = [f'"{key}": ' + json.dumps(value, indent=2).replace("\n", "\n  ") for key, value in head.items()]
     yield "{\n  " + ",\n  ".join(fields) + ',\n  "entries": ['

@@ -185,12 +185,12 @@ def test_criterion_06_integral_form():
             {(m, j, 0): c for (m, j), c in cterm.items()},
             1.0,
             (max(m for m, _ in cterm), max(j for _, j in cterm)),
-        )
+        ).cells(1.0)
         for _ in range(100):
             q = rng.uniform(-0.5, 0.5)
             qp = rng.uniform(-0.5, 0.5)
             via_integral = kernel_integral_form(V, 1.0, 1.0, q, qp, quad)
-            via_series = series.tvalue(q + qp, q - qp, 1.0)
+            via_series = series.tvalue(q + qp, q - qp)
             worst = max(worst, abs(via_integral - via_series))
     elapsed = time.monotonic() - start
 

@@ -36,6 +36,10 @@ _BARRIER_V = Potential.from_pairs([(2, -(10**6)), (1, F(128015625, 128))])
 BARRIER_P = math.sqrt(2 * (_BARRIER_V.value(8193 / 16384) - 1e-3 - _BARRIER_V.value(1.0)))
 
 
+INFINITE = "its float is infinite (beyond the float range)"
+ZERO = "its float is 0 (below the float range)"
+
+
 def invoke(args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -297,20 +301,57 @@ class TestConfigErrors:
         assert "x" in err
 
     @pytest.mark.parametrize(
-        "cmd, text, key",
+        "cmd, text, key, message",
         [
-            ("toa", "potential = 2:1/2\nq = nan\n", "q"),
-            ("grid", "grid_kind = toa\npotential = 2:1/2\npmin = nan\n", "pmin"),
-            ("commutator", "potential = 2:1/2\nhbar = inf\n", "hbar"),
-            ("toa", "potential = 2:1/2\np = -1e400\n", "p"),
+            ("toa", "potential = 2:1/2\nq = nan\n", "q", "not a finite number"),
+            ("grid", "grid_kind = toa\npotential = 2:1/2\npmin = nan\n", "pmin", "not a finite number"),
+            ("commutator", "potential = 2:1/2\nhbar = inf\n", "hbar", "not a finite number"),
+            ("toa", "potential = 2:1/2\np = -1e400\n", "p", "not a finite number"),
+            # exact keys whose float the float commands cannot take
+            ("toa", "potential = 2:1/2\nmu = 1e400\n", "mu", INFINITE),
+            ("toa", "potential = 2:1/2\nx = 1e400\n", "x", INFINITE),
+            ("commutator", "potential = 2:1/2\nmu = 1e400\n", "mu", INFINITE),
+            ("grid", "grid_kind = toa\npotential = 2:1/2\nmu = 1e400\n", "mu", INFINITE),
+            ("grid", "grid_kind = toa\npotential = 2:1/2\nx = -1e400\n", "x", INFINITE),
+            ("grid", "grid_kind = kernel\npotential = free\nmu = 1e400\n", "mu", INFINITE),
+            ("toa", "potential = 2:1/2\nmu = 1e-400\n", "mu", ZERO),
+            ("commutator", "potential = 2:1/2\nmu = 1e-400\n", "mu", ZERO),
+            ("grid", "grid_kind = toa\npotential = 2:1/2\nmu = 1e-400\n", "mu", ZERO),
+            ("toa", "potential = 2:1/2\nx = 1e-400\n", "x", ZERO),
         ],
-        ids=["toa-q-nan", "grid-pmin-nan", "commutator-hbar-inf", "toa-p-overflow"],
+        ids=[
+            "toa-q-nan", "grid-pmin-nan", "commutator-hbar-inf", "toa-p-overflow",
+            "toa-mu-overflow", "toa-x-overflow", "commutator-mu-overflow", "toa-grid-mu-overflow",
+            "toa-grid-x-overflow", "kernel-grid-mu-overflow", "toa-mu-underflow", "commutator-mu-underflow",
+            "toa-grid-mu-underflow", "toa-x-underflow",
+        ],
     )
-    def test_non_finite_float_rejected(self, tmp_path, cmd, text, key):
+    def test_non_finite_float_rejected(self, tmp_path, cmd, text, key, message):
         code, out, err = invoke([cmd, "--config", write_config(tmp_path, text)])
         assert code == 1
         assert not out
-        assert f"key {key!r}: not a finite number" in err
+        assert f"key {key!r}: {message}" in err
+
+    @pytest.mark.parametrize(
+        "kind, lo, hi, span",
+        [
+            ("kernel", "qmin", "qmax", "-1e308 1e308"),
+            ("kernel", "qpmin", "qpmax", "1e308 -1.5e308"),
+            ("toa", "qmin", "qmax", "-1e308 1e308"),
+            ("toa", "pmin", "pmax", "-1.7e308 1e308"),
+        ],
+    )
+    def test_grid_span_beyond_float_range_rejected(self, tmp_path, kind, lo, hi, span):
+        low, high = span.split()
+        text = f"grid_kind = {kind}\npotential = 2:1/2\n{lo} = {low}\n{hi} = {high}\nnq = 3\nnqp = 2\nnp = 2\n"
+        code, out, err = invoke(["grid", "--config", write_config(tmp_path, text)])
+        assert (code, out) == (1, "")
+        assert err == f"config error: keys {lo!r} and {hi!r}: the span {hi} - {lo} is beyond the float range\n"
+
+    def test_rational_too_long_to_write_rejected(self, tmp_path):
+        code, out, err = invoke(["kernel", "--config", write_config(tmp_path, "potential = free\nmu = 1e5000\n")])
+        assert (code, out) == (1, "")
+        assert err.startswith("config error: key 'mu': Exceeds the limit (4300 digits) for integer string conversion")
 
     @pytest.mark.parametrize("cmd, fmt", REFUSED)
     @pytest.mark.parametrize("where", ["flag", "config"])
@@ -392,6 +433,21 @@ class TestKernelCommand:
         assert code == 0
         assert hashlib.blake2b(out.encode(), digest_size=32).hexdigest() == digest
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_entry_too_long_to_write_is_named(self, tmp_path, fmt):
+        # the shifted octic's entries outgrow int-to-str conversion's digit
+        # limit; the rows written before it go with the partial file
+        conf = write_config(tmp_path, f"potential = 8:1\nx = 1e300\nformat = {fmt}\n")
+        target = tmp_path / "kernel.out"
+        target.write_text("an older output\n")
+        code, out, err = invoke(["kernel", "--config", conf, "--out", str(target)])
+        assert (code, out) == (1, "")
+        assert err == (
+            "config error: kernel entry (m, j, s) = (4, 3, 0) has more than 4300 digits, the limit of"
+            " int-to-str conversion; 'potential', 'x' and 'jmax' set its size\n"
+        )
+        assert not target.exists()
+
 
 class TestClassicalLimitCommand:
     def test_harmonic_matches_with_empty_residual(self, tmp_path):
@@ -419,6 +475,15 @@ class TestClassicalLimitCommand:
         data = json.loads(out)
         assert code == 0
         assert data["all_match"] is True
+
+    def test_coefficient_too_long_to_write_is_named(self, tmp_path):
+        path = write_config(tmp_path, "potential = 3:-1\nx = 1e300\nmu = 1e300\n")
+        code, out, err = invoke(["classical-limit", "--config", path])
+        assert (code, out) == (1, "")
+        assert err == (
+            "config error: coefficient of q^6 has more than 4300 digits, the limit of int-to-str conversion;"
+            " 'potential' and 'x', and in a series 'mu', 'jmax' and 'kmax', set its size\n"
+        )
 
 
 class TestCommutatorCommand:
@@ -475,6 +540,14 @@ class TestGridCommand:
         assert (code, out) == (2, "")
         assert err == "verification failure: kernel cell (m, j) = (3, 1) is beyond the float range\n"
 
+    def test_kernel_grid_reports_non_finite_rows(self, tmp_path):
+        # T overflows at u = 2e200: every row is NaN, and one line says so
+        text = "grid_kind = kernel\npotential = 2:1/2\nqmin = 1e200\nqmax = 1e200\nnq = 2\nnqp = 3\n"
+        code, out, err = invoke(["grid", "--config", write_config(tmp_path, text)])
+        assert code == 0
+        assert all(line.endswith(",nan,nan") for line in out.strip().splitlines()[1:])
+        assert err == "grid: 6 of 6 rows NaN (overflow 6)\n"
+
     def test_kernel_grid_row_count(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -527,12 +600,12 @@ class TestGridCommand:
         assert code == 0
         K = solve_kernel_general(
             KernelRequest(Potential.from_pairs([(2, F(1, 2)), (3, F(1, 3)), (6, F(1, 7))]), 1, 8)
-        )
+        ).cells(0.7)
         axis = [-1.0 + 0.25 * i for i in range(9)]
         lines = ["q,qp,re,im"]
         for q in axis:
             for qp in axis:
-                val = kernel_eval(K, q, qp, 0.7)
+                val = kernel_eval(K, q, qp)
                 lines.append(f"{q!r},{qp!r},{val.real!r},{val.imag!r}")
         assert out.strip().splitlines() == lines
 
@@ -850,3 +923,27 @@ class TestFloatLayerLoadsOnFirstUse:
             supratoa.nope
         # the name perfbench/trace.py wraps
         assert cli.commutator_residual is supratoa.numerics.commutator_residual
+
+
+class TestBenchmarkHooks:
+    """perfbench's tracer wraps module attributes by name; a rename must fail here."""
+
+    def test_tracer_installs_and_restores_every_hook(self):
+        import importlib.util
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
+        spec = importlib.util.spec_from_file_location("perfbench_trace", path)
+        trace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(trace)
+        hooks = [(owner, attr) for owner, attr, _ in (*trace.SPANS, *trace.LEAVES)]
+        hooks.append((Potential, "value"))
+        named = {(cli, "kernel_eval"), (supratoa.numerics, "kernel_eval")}
+        assert named | {(cli, "commutator_residual"), (cli, "kernel_to_dict")} <= set(hooks)
+        originals = [getattr(owner, attr) for owner, attr in hooks]
+        tracer = trace.Tracer()
+        tracer.install()  # getattr on every wrapped name
+        try:
+            assert all(getattr(owner, attr) is not original for (owner, attr), original in zip(hooks, originals))
+        finally:
+            tracer.uninstall()
+        assert all(getattr(owner, attr) is original for (owner, attr), original in zip(hooks, originals))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supratoa.algebra import GradedKernel
+from supratoa.algebra import GradedKernel, KernelCells
 from supratoa.classical_toa import Potential, shift_arrival
 from supratoa.kernel_solver import (
     KernelRequest,
@@ -187,36 +187,37 @@ class TestClassicalTerm:
 
 class TestKernelEval:
     def test_free_kernel_value(self):
-        K = general(Potential.free(), 1, 0)
-        assert kernel_eval(K, 0.7, 0.2, 1.0) == pytest.approx(-0.225j)
-        assert kernel_eval(K, 0.2, 0.7, 1.0) == pytest.approx(0.225j)
+        K = general(Potential.free(), 1, 0).cells(1.0)
+        assert kernel_eval(K, 0.7, 0.2) == pytest.approx(-0.225j)
+        assert kernel_eval(K, 0.2, 0.7) == pytest.approx(0.225j)
 
     def test_diagonal_vanishes(self):
-        K = solve_kernel_harmonic(1, 6)
-        assert kernel_eval(K, 0.4, 0.4, 1.0) == 0
+        K = solve_kernel_harmonic(1, 6).cells(1.0)
+        assert kernel_eval(K, 0.4, 0.4) == 0
 
     def test_hermitian_symmetry(self):
-        K = solve_kernel_harmonic(1, 8)
+        K = solve_kernel_harmonic(1, 8).cells(1.0)
         for q, qp in ((0.3, -0.1), (0.5, 0.2), (-0.4, 0.1)):
-            val = kernel_eval(K, q, qp, 1.0)
-            swapped = kernel_eval(K, qp, q, 1.0)
+            val = kernel_eval(K, q, qp)
+            swapped = kernel_eval(K, qp, q)
             assert val == pytest.approx(swapped.conjugate(), rel=1e-14)
 
     def test_node_array_equals_scalar_calls(self):
-        K = general(QUARTIC, F(3, 2), 8)
+        K = general(QUARTIC, F(3, 2), 8).cells(0.8)
         qp = np.array([-0.7, -0.2, 0.3, 0.31, 0.9])
-        values = kernel_eval(K, 0.3, qp, 0.8)
-        points = [kernel_eval(K, 0.3, x, 0.8) for x in qp.tolist()]
+        values = kernel_eval(K, 0.3, qp)
+        points = [kernel_eval(K, 0.3, x) for x in qp.tolist()]
         assert values.tolist() == points
         assert values[2] == 0
         # each point is a complex with its element's bits, signed zeros included
         assert all(type(value) is complex for value in points)
         assert np.array(points).view(np.uint64).tolist() == values.view(np.uint64).tolist()
 
-    def test_hbar_must_be_positive(self):
-        K = general(Potential.free(), 1, 0)
-        with pytest.raises(ValueError):
-            kernel_eval(K, 0.1, 0.0, 0.0)
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan])
+    def test_hbar_must_be_positive(self, hbar):
+        # the cells refuse it once, so kernel_eval never sees it
+        with pytest.raises(ValueError, match="hbar must be positive"):
+            KernelCells([({1: 1}, 4)], 1, hbar)
 
 
 # dyadic, non-dyadic and far-from-1 hbar; 2^-20 makes w = mu 2^39
@@ -241,7 +242,7 @@ class TestAtHbar:
         assert at == K.cells(hbar)
         # each layer is over its minimal common denominator
         assert all(math.gcd(D, *nums.values()) == 1 for nums, D in at.layers)
-        assert np.array_equal(at.dense_form(hbar), K.dense_form(hbar))
+        assert np.array_equal(at.dense_form(), K.cells(hbar).dense_form())
 
     def test_one_cell_per_power_pair(self):
         V = Potential.from_pairs([(2, F(1, 2)), (3, F(1, 3)), (6, F(1, 7))])
@@ -252,17 +253,10 @@ class TestAtHbar:
 
     def test_cells_hold_one_hbar(self):
         at = solve_kernel_at_hbar(KernelRequest(QUARTIC, 1, 4), 0.7)
-        assert at.tvalue(0.3, 0.2, 0.7) == general(QUARTIC, 1, 4).tvalue(0.3, 0.2, 0.7)
-        with pytest.raises(ValueError, match="hbar"):
-            at.tvalue(0.3, 0.2, 1.0)
+        assert at.hbar == 0.7
+        assert at.tvalue(0.3, 0.2) == general(QUARTIC, 1, 4).cells(0.7).tvalue(0.3, 0.2)
         with pytest.raises(ValueError, match="hbar must be positive"):
             solve_kernel_at_hbar(KernelRequest(QUARTIC, 1, 4), 0.0)
-
-    def test_collapse_is_kept_for_the_last_hbar(self):
-        K = general(QUARTIC, 1, 6)
-        first = K.cells(0.7)
-        assert K.cells(0.7) is first
-        assert K.cells(1.0) is not first and K.cells(1.0).hbar == 1.0
 
 
 class TestResidual:
@@ -379,8 +373,8 @@ class TestLayerOrder:
         assert checked.layers == K.layers
         at = solve_kernel_at_hbar(KernelRequest(V, F(3, 2), 12), 0.7)
         assert at == K.cells(0.7) == checked.cells(0.7)
-        assert np.array_equal(at.dense_form(0.7), K.dense_form(0.7))
-        assert np.array_equal(checked.dense_form(0.7), K.dense_form(0.7))
+        assert np.array_equal(at.dense_form(), K.cells(0.7).dense_form())
+        assert np.array_equal(checked.cells(0.7).dense_form(), K.cells(0.7).dense_form())
 
 
 class TestBoundary:

@@ -30,7 +30,6 @@ from supratoa.kernel_solver import (
 )
 from supratoa import numerics
 from supratoa.numerics import (
-    _NODE_CAP,
     _Z_CUTOFF,
     BumpProfile,
     QuadSpec,
@@ -41,6 +40,7 @@ from supratoa.numerics import (
     hyper0f1,
     kernel_integral_form,
 )
+from supratoa.quadrature import _NODE_CAP
 
 HARMONIC = Potential.from_pairs([(2, F(1, 2))])
 QUARTIC = Potential.from_pairs([(4, 1)])
@@ -161,13 +161,13 @@ class TestIntegralForm:
 
     @pytest.mark.parametrize("V", [HARMONIC, Potential.from_pairs([(4, 1)])])
     def test_matches_series_evaluation(self, V):
-        series = classical_slice(V)
+        series = classical_slice(V).cells(1.0)
         rng = random.Random(11)
         quad = QuadSpec(1e-11)
         for _ in range(25):
             q, qp = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
             via_integral = kernel_integral_form(V, 1.0, 1.0, q, qp, quad)
-            via_series = series.tvalue(q + qp, q - qp, 1.0)
+            via_series = series.tvalue(q + qp, q - qp)
             assert via_integral == pytest.approx(via_series, abs=1e-8)
 
     @pytest.mark.parametrize("V", [HARMONIC, QUARTIC], ids=["harmonic", "quartic"])
@@ -214,12 +214,13 @@ class TestApplyKernel:
     @pytest.mark.parametrize("q", [0.13, 0.5, -0.5, 0.8], ids=["inside", "edge", "edge-", "outside"])
     def test_array_rule_matches_quadpack(self, V, q):
         K = solve_kernel_general(KernelRequest(V, 1, 8))
+        cells = K.cells(1.0)
         phi = BumpProfile(0.0, 0.5)
         lo, hi = phi.support
         got = apply_kernel(K, phi, [q], 1.0, QuadSpec(1e-13))[0]
         # <q|T|q'> is imaginary and phi real, so the integrand is imaginary
         oracle = integrate.quad(
-            lambda qp: (kernel_eval(K, q, qp, 1.0) * phi.value(qp)).imag,
+            lambda qp: (kernel_eval(cells, q, qp) * phi.value(qp)).imag,
             lo,
             hi,
             points=[q] if lo < q < hi else None,
@@ -233,6 +234,36 @@ class TestApplyKernel:
     def test_rejects_non_kernel(self):
         with pytest.raises(TypeError):
             apply_kernel(42, BumpProfile(0.0, 0.5), [0.0], 1.0, QuadSpec(1e-10))
+
+    def test_cells_at_another_hbar_refused(self):
+        cells = solve_kernel_harmonic(1, 4).cells(0.7)
+        phi = BumpProfile(0.0, 0.5)
+        with pytest.raises(ValueError, match=r"cells solved at hbar = 0\.7, evaluated at 1\.0"):
+            apply_kernel(cells, phi, [0.0], 1.0, QuadSpec(1e-10))
+        with pytest.raises(ValueError, match=r"cells solved at hbar = 0\.7, evaluated at 1\.0"):
+            commutator_residual(HARMONIC, cells, phi, phi, 1.0, 1.0, QuadSpec(1e-8))
+        with pytest.raises(ValueError, match="hbar must be positive"):
+            apply_kernel(solve_kernel_harmonic(1, 4), phi, [0.0], 0.0, QuadSpec(1e-10))
+
+    def test_graded_table_collapses_once_per_call(self, monkeypatch):
+        # a table and its cells at hbar give the same values, and a graded
+        # table is collapsed once per call, not once per batch of nodes
+        K = solve_kernel_harmonic(1, 6)
+        phi = BumpProfile(0.0, 0.5)
+        qs = [-0.3, 0.1, 0.7]
+        via_cells = apply_kernel(K.cells(0.7), phi, qs, 0.7, QuadSpec(1e-12))
+        collapse = GradedKernel.cells
+        hbars = []
+
+        def counted(self, hbar):
+            hbars.append(hbar)
+            return collapse(self, hbar)
+
+        monkeypatch.setattr(GradedKernel, "cells", counted)
+        assert apply_kernel(K, phi, qs, 0.7, QuadSpec(1e-12)) == via_cells
+        assert hbars == [0.7]
+        commutator_residual(HARMONIC, K, phi, BumpProfile(0.1, 0.5), 1.0, 0.7, QuadSpec(1e-8))
+        assert hbars == [0.7, 0.7]
 
     def test_quadspec_validation(self):
         with pytest.raises(ValueError):
@@ -403,10 +434,10 @@ class TestBatchedRule:
 
     @pytest.mark.parametrize("tol", [1e-11, 1e-14])
     def test_values_and_estimates_equal_per_row_calls(self, tol):
-        K = solve_kernel_general(KernelRequest(QUARTIC, 1, 8))
+        K = solve_kernel_general(KernelRequest(QUARTIC, 1, 8)).cells(0.7)
 
         def kf(q, qp):
-            return kernel_eval(K, q, qp, 0.7)
+            return kernel_eval(K, q, qp)
 
         def f(q, qp):
             return self.PSI.deriv2(qp) * np.cos(3.0 * q) + self.PSI.value(qp)
@@ -422,10 +453,10 @@ class TestBatchedRule:
     def test_rows_equal_the_two_panel_batch(self, tol):
         # rows at or outside supp psi integrate the one panel [lo, hi]; each
         # keeps the value and estimate of [lo, clip(q), hi] with its empty panel
-        K = solve_kernel_general(KernelRequest(QUARTIC, 1, 8))
+        K = solve_kernel_general(KernelRequest(QUARTIC, 1, 8)).cells(0.7)
 
         def g(q, qp):
-            return kernel_eval(K, q, qp, 0.7) * (self.PSI.deriv2(qp) * np.cos(3.0 * q) + self.PSI.value(qp))
+            return kernel_eval(K, q, qp) * (self.PSI.deriv2(qp) * np.cos(3.0 * q) + self.PSI.value(qp))
 
         lo, hi = self.PSI.support
         q = np.array(self.QS).reshape(-1, 1)
@@ -483,9 +514,9 @@ class TestWorkCounters:
         seen = []
         evaluate = numerics.kernel_eval
 
-        def counted(K, q, qp, hbar):
+        def counted(cells, q, qp):
             seen.append(np.broadcast(q, qp).size)
-            return evaluate(K, q, qp, hbar)
+            return evaluate(cells, q, qp)
 
         monkeypatch.setattr(numerics, "kernel_eval", counted)
         return seen
@@ -519,7 +550,8 @@ import sys
 from fractions import Fraction as F
 from supratoa.classical_toa import PhasePoint, Potential, toa_quadrature
 from supratoa.kernel_solver import solve_kernel_harmonic
-from supratoa.numerics import BumpProfile, QuadSpec, _gauss_legendre, commutator_residual, kernel_integral_form
+from supratoa.numerics import BumpProfile, QuadSpec, commutator_residual, kernel_integral_form
+from supratoa.quadrature import _gauss_legendre
 V = Potential.from_pairs([(2, F(1, 2))])
 phi, psi = BumpProfile(0.0, 0.5), BumpProfile(0.1, 0.5)
 commutator_residual(V, solve_kernel_harmonic(1, 4), phi, psi, 1.0, 1.0, QuadSpec(1e-8))
