@@ -481,6 +481,14 @@ def hbar_weight(mu: RationalLike, hbar: float) -> Rational:
     return Fraction(mu) / (2 * Fraction(hbar) ** 2)
 
 
+def _cell_float(n: int, D: int, m: int, j: int) -> float:
+    """Cell (m, j) = n / D rounded once, or QuadratureFailure naming it beyond the float range."""
+    try:
+        return n / D
+    except OverflowError:
+        raise QuadratureFailure(f"kernel cell (m, j) = ({m}, {j}) is beyond the float range") from None
+
+
 class KernelCells:
     """The kernel factor at one hbar: T(u, v) = sum C[m, j] u^m v^(2j).
 
@@ -531,10 +539,7 @@ class KernelCells:
             ms, js, values = [], [], []
             for j, (nums, D) in enumerate(self.layers):
                 for m, n in nums.items():
-                    try:
-                        values.append(n / D)
-                    except OverflowError:
-                        raise QuadratureFailure(f"kernel cell (m, j) = ({m}, {j}) is beyond the float range") from None
+                    values.append(_cell_float(n, D, m, j))
                     ms.append(m)
                     js.append(j)
                     top[m] = j

@@ -1,10 +1,11 @@
-"""Arrival times by direct quadrature: the panels and the integrand.
+"""Arrival times by direct quadrature: the checks, the panels and the integrand.
 
-classical_toa.toa_quadrature checks that a phase point reaches x and calls
-arrival_integral, which grades the panels toward the nearly singular
-points (_graded_ends) and integrates 1/sqrt(H - V) with the package's one
-rule. The module loads with the first arrival time, so the exact commands
-never compile or import it.
+arrival_times checks that each phase point reaches x (_prepare), grades
+its panels toward the nearly singular points (_graded_ends) and integrates
+1/sqrt(H - V) with the package's one rule, the rows of a toa grid in
+batches. classical_toa.toa_quadrature is its one-row case. The module
+loads with the first arrival time, so the exact commands never compile or
+import it.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import QPoly, poly_shift
-from .classical_toa import PhasePoint, Potential, _finite
-from .errors import NotAccessible
+from .classical_toa import _ACCESS_MARGIN, PhasePoint, Potential, _critical_values, _finite
+from .errors import NotAccessible, QuadratureFailure, SupratoaError, ZeroMomentum
 from .quadrature import _integrate
 
 # Geometric grading of an arrival time's panels toward a nearly singular end:
@@ -81,15 +82,16 @@ def _graded_ends(breaks: list[float], widths: list[float], x: float, q: float) -
     return sorted(ends, reverse=q < x)
 
 
-def arrival_integral(
-    V: Potential, pt: PhasePoint, energy: float, points: np.ndarray, values: np.ndarray, tol: float
-) -> tuple[float, float]:
-    """The integral of 1/sqrt(H - V) from x to q, and the rule's error estimate.
+def _prepare(V: Potential, pt: PhasePoint):
+    """A phase point's checks and panels, in toa_quadrature's order.
 
-    energy is H, points are x, q and V's critical points clipped between
-    them (classical_toa._critical_values), values V there, and H - V is
-    above the access margin at each. The breakpoints are those points,
-    sorted, and the panels are graded toward each (_graded_ends).
+    ZeroMomentum at p^2 = 0; None when q == x, whose arrival time is 0;
+    QuadratureFailure when V at the candidates (classical_toa._critical_values)
+    or H is beyond the float range; NotAccessible when H - V is at most the
+    access margin at a candidate. Otherwise (energy, ends, careful): the
+    graded panel ends from x to q (_graded_ends), and careful the arguments
+    of the integrand's exact gaps near the breakpoints where the float gap
+    would lose its digits, or None where there are none.
 
     A float H - V(t) carries an error of order eps times |H| plus the sum
     of |V|'s terms, so where a gap falls below _CAREFUL_GAP of that size,
@@ -99,9 +101,23 @@ def arrival_integral(
     at each node t nearest to b, H - V(t) = gap_b - D_b(t - b). Just above
     a barrier peak, or where the trajectory barely reaches x, the
     integrand is then as smooth as the rule needs, and as accurate as the
-    float inputs allow. Raises NotAccessible at a node where H - V <= 0.
+    float inputs allow.
     """
-    gap_at = dict(zip(points.tolist(), (energy - values).tolist()))
+    if pt.p * pt.p == 0:
+        raise ZeroMomentum(f"time of arrival undefined at p^2 = 0 (p = {pt.p!r})")
+    q, x = float(pt.q), float(pt.x)
+    if q == x:
+        return None
+    points, values = _critical_values(V, x, q)
+    energy = _finite("H = p^2/(2 mu) + V(q)", pt.energy, V)
+
+    margin = _ACCESS_MARGIN * max(1.0, abs(energy))
+    gaps = energy - values
+    k = int(gaps.argmin())
+    if gaps[k] <= margin:
+        raise NotAccessible(f"H - V = {gaps[k]:.3g} <= {margin:.3g} at q' = {points[k]:.6g}")
+
+    gap_at = dict(zip(points.tolist(), gaps.tolist()))
     breaks = sorted(gap_at)
     gaps = [gap_at[b] for b in breaks]
     terms = V.poly._floats()
@@ -116,12 +132,26 @@ def arrival_integral(
             local[j] = Potential(QPoly.trusted({d: c for d, c in shifted.coeffs.items() if d}))
             _finite(f"V's expansion at q' = {b:.6g}", local[j].poly._floats)
             gaps[j] = _finite(f"H - V at q' = {b:.6g}", float, exact - shifted.coeff(0))
-    cuts = np.array([0.5 * (lo + hi) for lo, hi in zip(breaks, breaks[1:])])
     widths = [_width(terms, b, g) for b, g in zip(breaks, gaps)]
+    ends = _graded_ends(breaks, widths, x, q)
+    careful = None
+    if local:
+        cuts = np.array([0.5 * (lo + hi) for lo, hi in zip(breaks, breaks[1:])])
+        careful = (breaks, gaps, cuts, local)
+    return energy, ends, careful
 
-    def integrand(nodes: np.ndarray) -> np.ndarray:
-        kinetic = energy - V.value(nodes)
-        if local:
+
+def _integrand(V: Potential, energies: np.ndarray, careful):
+    """1/sqrt(H - V) for a batch of rows, the form _integrate calls: g(nodes, i).
+
+    energies are the rows' H, and careful (_prepare) sets the exact gaps of
+    a batch of one row. Raises NotAccessible at a node where H - V <= 0.
+    """
+
+    def g(nodes: np.ndarray, i: np.ndarray) -> np.ndarray:
+        kinetic = energies[i][:, None] - V.value(nodes)
+        if careful is not None:
+            breaks, gaps, cuts, local = careful
             near = np.searchsorted(cuts, nodes)
             for j, expansion in local.items():
                 at = near == j
@@ -131,7 +161,67 @@ def arrival_integral(
         # rounding can still reach 0, where the square root would be NaN
         closed = kinetic <= 0
         if closed.any():
-            raise NotAccessible(f"H - V <= 0 at q' = {nodes[closed.argmax()]:.6g}")
+            raise NotAccessible(f"H - V <= 0 at q' = {nodes[closed][0]:.6g}")
         return 1.0 / np.sqrt(kinetic)
 
-    return _integrate(integrand, _graded_ends(breaks, widths, float(pt.x), float(pt.q)), tol)
+    return g
+
+
+def arrival_times(V: Potential, pts: list[PhasePoint], tol: float) -> list:
+    """The time of arrival at each phase point, or the error toa_quadrature raises there.
+
+    Each point gets the float a toa_quadrature(V, pt, tol) call returns,
+    or the SupratoaError it raises, of the same class and with the same
+    message. Each runs toa_quadrature's checks (_prepare); the rows
+    without exact gaps are then integrated in batches, one per number of
+    panel ends, through _integrate's batch form, which gives each row the
+    value and estimate a call on that row alone gives; a row with exact
+    gaps is a batch of one. A batch that raises is integrated again row by
+    row, so that each row gets its own error. A row whose estimate exceeds
+    max(tol, 1e-14 |integral|) gets QuadratureFailure.
+    """
+    results: list = [None] * len(pts)
+    batches: dict[int, list] = {}  # number of panel ends -> rows
+    singles = []
+    for index, pt in enumerate(pts):
+        try:
+            row = _prepare(V, pt)
+        except SupratoaError as exc:
+            results[index] = exc
+            continue
+        if row is None:
+            results[index] = 0.0
+        elif row[2] is None:
+            batches.setdefault(len(row[1]), []).append((index, row))
+        else:
+            singles.append([(index, row)])
+    for batch in [*batches.values(), *singles]:
+        _integrate_rows(V, pts, batch, tol, results)
+    return results
+
+
+def _integrate_rows(V: Potential, pts: list[PhasePoint], batch: list, tol: float, results: list) -> None:
+    """Integrate the prepared rows of batch, all with the same number of panel
+    ends, and set each row's arrival time, or the SupratoaError it raises, in results.
+
+    A batch of more than one row that raises runs again row by row.
+    """
+    energies = np.array([energy for _, (energy, _, _) in batch])
+    ends = np.array([row_ends for _, (_, row_ends, _) in batch])
+    careful = batch[0][1][2] if len(batch) == 1 else None
+    try:
+        values, errs = _integrate(_integrand(V, energies, careful), ends, tol)
+    except SupratoaError as exc:
+        if len(batch) == 1:
+            results[batch[0][0]] = exc
+        else:
+            for row in batch:
+                _integrate_rows(V, pts, [row], tol, results)
+        return
+    for (index, _), value, err in zip(batch, values.tolist(), errs.tolist()):
+        pt = pts[index]
+        if err > max(tol, 1e-14 * abs(value)):
+            results[index] = QuadratureFailure(f"estimated error {err:.3g} exceeds tol {tol:.3g}")
+        else:
+            sgn_p = 1.0 if pt.p > 0 else -1.0
+            results[index] = -sgn_p * math.sqrt(pt.mu / 2.0) * value

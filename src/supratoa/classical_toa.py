@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .algebra import MomentumSeries, QPoly, Rational, RationalLike, poly_shift
-from .errors import NotAccessible, QuadratureFailure, ZeroMomentum
+from .errors import QuadratureFailure, SupratoaError, ZeroMomentum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -248,6 +248,32 @@ def local_toa(V: Potential, mu: RationalLike, x: RationalLike, K: int) -> Moment
     return MomentumSeries(terms)
 
 
+def local_toa_value(V: Potential, mu: RationalLike, x: RationalLike, K: int, q: float, p: float) -> float:
+    """The float value at (q, p) of the series up to order K, equal bit for bit
+    to local_toa(V, mu, x, K).evaluate(q, p).
+
+    The sum runs the same float operations in the same order straight on the
+    integer iterates, without a Fraction: each coefficient is sign * n / den,
+    the correctly rounded quotient of the same rational that c.numerator /
+    c.denominator rounds for the reduced Fraction c. A quotient or a power
+    beyond the float range raises OverflowError there too.
+    """
+    if K < 0:
+        raise ValueError("series order must be >= 0")
+    if p == 0:
+        raise ZeroDivisionError("series has only negative powers of p")
+    q = float(q)
+    total = 0.0
+    for k, (nums, den) in zip(range(K + 1), _liouville_iterates(V, Fraction(mu), Fraction(x))):
+        if nums:
+            sign = (-1) ** k
+            value = 0.0
+            for d, n in nums.items():
+                value += sign * n / den * q**d
+            total += value * p ** -(2 * k + 1)  # evaluate's factor hbar^0 = 1.0 is exact
+    return total
+
+
 def _interval(a: float, b: float) -> tuple[float, float]:
     return (a, b) if a <= b else (b, a)
 
@@ -275,30 +301,16 @@ def toa_quadrature(V: Potential, pt: PhasePoint, tol: float = 1e-10) -> float:
     H - V > _ACCESS_MARGIN * max(1, |H|) at x, q and every critical point of
     V between them; otherwise NotAccessible names the lowest such point.
     The integral is the package's one rule (quadrature._integrate) on
-    graded panels (arrival.arrival_integral); QuadratureFailure is raised
-    when its error estimate exceeds max(tol, 1e-14 |integral|).
+    graded panels; QuadratureFailure is raised when its error estimate
+    exceeds max(tol, 1e-14 |integral|). This is the one-row case of
+    arrival.arrival_times, which a toa grid calls on all its rows at once.
     """
-    if pt.p * pt.p == 0:
-        raise ZeroMomentum(f"time of arrival undefined at p^2 = 0 (p = {pt.p!r})")
-    q, x = float(pt.q), float(pt.x)
-    if q == x:
-        return 0.0
-    points, values = _critical_values(V, x, q)
-    energy = _finite("H = p^2/(2 mu) + V(q)", pt.energy, V)
+    from .arrival import arrival_times  # the rule and its panels load with the first arrival time
 
-    margin = _ACCESS_MARGIN * max(1.0, abs(energy))
-    gaps = energy - values
-    k = int(gaps.argmin())
-    if gaps[k] <= margin:
-        raise NotAccessible(f"H - V = {gaps[k]:.3g} <= {margin:.3g} at q' = {points[k]:.6g}")
-
-    from .arrival import arrival_integral  # the rule and its panels load with the first arrival time
-
-    value, err = arrival_integral(V, pt, energy, points, values, tol)
-    if err > max(tol, 1e-14 * abs(value)):
-        raise QuadratureFailure(f"estimated error {err:.3g} exceeds tol {tol:.3g}")
-    sgn_p = 1.0 if pt.p > 0 else -1.0
-    return -sgn_p * math.sqrt(pt.mu / 2.0) * value
+    (result,) = arrival_times(V, [pt], tol)
+    if isinstance(result, SupratoaError):
+        raise result
+    return result
 
 
 def convergence_margin(V: Potential, mu: float, q: float, x: float, p: float) -> tuple[float, bool]:

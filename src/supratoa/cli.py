@@ -12,14 +12,13 @@ and every --seed-config run without either.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-
-import click
 
 from .algebra import QPoly, parse_rational, poly_shift
 from .classical_toa import (
@@ -28,6 +27,7 @@ from .classical_toa import (
     _finite,
     convergence_margin,
     local_toa,
+    local_toa_value,
     series_tail_bound,
     shift_arrival,
     toa_quadrature,
@@ -43,6 +43,7 @@ from .kernel_solver import (
     solve_kernel_general,
 )
 from .serialize import (
+    _digit_limit,
     kernel_json_chunks,
     kernel_rows,
     poly_to_pairs,
@@ -114,9 +115,12 @@ def _parse_potential(raw: str) -> Potential:
 def _to_rational(key: str, raw: str) -> Fraction:
     try:
         value = parse_rational(raw)
-        str(value)  # outputs write the value back, within int-to-str conversion's digit limit
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: {exc}") from exc
+    try:
+        str(value)  # outputs write the value back, within int-to-str conversion's digit limit
+    except ValueError:
+        raise ConfigError(f"key {key!r}: its numerator or denominator has {_digit_limit()}") from None
     return value
 
 
@@ -232,7 +236,7 @@ def _emit(text, out: str | None) -> None:
     deleted and the error re-raised.
     """
     if not out:
-        _write_batches(text, lambda batch: click.echo(batch, nl=False))
+        _write_batches(text, _write_stdout)
         return
     fh = open(out, "w", encoding="utf-8")
     try:
@@ -244,6 +248,16 @@ def _emit(text, out: str | None) -> None:
         if os.path.isfile(out):  # never a device or a pipe named by --out
             os.remove(out)
         raise
+
+
+def _write_stdout(batch: str) -> None:
+    sys.stdout.write(batch)
+    sys.stdout.flush()
+
+
+def _stderr_line(text: str) -> None:
+    """One line on stderr, flushed."""
+    print(text, file=sys.stderr, flush=True)
 
 
 def _write_batches(text, write) -> None:
@@ -349,14 +363,18 @@ def cmd_commutator(config: RunConfig) -> int:
     """Measure the canonical-commutator residual of the solved kernel."""
     if config.x:
         raise ConfigError("key 'x': commutator works at the origin only; x must be 0")
+    import numpy as np
+
     from . import numerics
 
+    mu = _float_of("mu", config.mu)  # a config error comes before the solve refuses a cell
     V = config.potential
     K = solve_kernel_at_hbar(KernelRequest(V=V, mu=config.mu, Jmax=config.jmax), config.hbar)
     phi = numerics.BumpProfile(config.phi_center, config.phi_halfwidth)
     psi = numerics.BumpProfile(config.psi_center, config.psi_halfwidth)
     quad = numerics.QuadSpec(abs_tol=config.quad_abs_tol)
-    report = numerics.commutator_residual(V, K, phi, psi, _float_of("mu", config.mu), config.hbar, quad)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite integral is refused by name
+        report = numerics.commutator_residual(V, K, phi, psi, mu, config.hbar, quad)
     payload = residual_report_to_dict(report)
     payload["threshold"] = config.threshold
     payload["passed"] = report.residual < config.threshold
@@ -415,22 +433,22 @@ def cmd_grid(config: RunConfig) -> int:
             for qp, val in zip(qps.tolist(), row)
         )
     else:
+        from .arrival import arrival_times  # toa_quadrature on every row at once
+
         x = _float_of("x", config.x)
         ps = np.linspace(config.pmin, config.pmax, config.np)
+        points = [(q, p) for q in qs.tolist() for p in ps.tolist()]
+        pts = [PhasePoint(q=q, p=p, x=x, mu=mu) for q, p in points]
         rows = []
-        for q in qs:
-            for p in ps:
-                pt = PhasePoint(q=float(q), p=float(p), x=x, mu=mu)
-                try:
-                    value = toa_quadrature(config.potential, pt, config.quad_abs_tol)
-                except SupratoaError as exc:
-                    value = math.nan
-                    nan_reasons[type(exc).__name__] += 1
-                rows.append(f"{float(q)!r},{float(p)!r},{value!r}")
+        for (q, p), value in zip(points, arrival_times(config.potential, pts, config.quad_abs_tol)):
+            if isinstance(value, SupratoaError):
+                nan_reasons[type(value).__name__] += 1
+                value = math.nan
+            rows.append(f"{q!r},{p!r},{value!r}")
         header, count = "q,p,toa", len(rows)
     if nan_reasons.total():
         reasons = ", ".join(f"{name} {n}" for name, n in sorted(nan_reasons.items()))
-        click.echo(f"grid: {nan_reasons.total()} of {count} rows NaN ({reasons})", err=True)
+        _stderr_line(f"grid: {nan_reasons.total()} of {count} rows NaN ({reasons})")
     _emit(_csv(header, rows), config.out)
     return 0
 
@@ -442,8 +460,9 @@ def cmd_toa(config: RunConfig) -> int:
     x = _float_of("x", config.x)
     pt = PhasePoint(q=config.q, p=config.p, x=x, mu=mu)
     ratio, converges = convergence_margin(V, mu, config.q, x, config.p)
-    series = local_toa(V, config.mu, config.x, config.kmax)
-    series_value = _finite("the series value at (q, p)", series.evaluate, config.q, config.p)
+    series_value = _finite(
+        "the series value at (q, p)", local_toa_value, V, config.mu, config.x, config.kmax, config.q, config.p
+    )
     quad_value = toa_quadrature(V, pt, config.quad_abs_tol)
     tail = series_tail_bound(ratio, mu, config.q, x, config.p, config.kmax)
     # quadrature tolerance plus roundoff; the tail alone can sit below both
@@ -590,27 +609,44 @@ def _run_command(name: str, config_path: str | None, out: str | None, fmt: str |
     return command(config)
 
 
-def _attach(group: click.Group, name: str, func) -> None:
-    help_text = (func.__doc__ or "").strip().splitlines()[0]
-
-    @click.option("--config", "config_path", type=click.Path(), default=None, help="Config file (key = value lines).")
-    @click.option("--out", type=click.Path(), default=None, help="Write output to this path instead of stdout.")
-    @click.option("--format", "fmt", type=click.Choice(_FORMATS), default=None, help="Output format override.")
-    @click.option("--seed-config", "seed", is_flag=True, help="Print a commented sample config and exit.")
-    def _callback(config_path, out, fmt, seed, _name=name):
-        return _run_command(_name, config_path, out, fmt, seed)
-
-    group.command(name=name, help=help_text)(_callback)
+class _UsageError(Exception):
+    """A command line the parser refuses: the message, then the usage line."""
 
 
-@click.group()
-def cli() -> None:
-    """Exact time-kernel tables for arrival-time operators, with transform,
-    commutator, and quadrature verification commands."""
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
-for _name, (_func, _, _) in _COMMANDS.items():
-    _attach(cli, _name, _func)
+class _Formatter(argparse.HelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix=None):
+        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(
+        prog="supratoa",
+        description="Exact time-kernel tables for arrival-time operators, with transform, "
+        "commutator, and quadrature verification commands.",
+        formatter_class=_Formatter,
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND", required=True)
+    for name, (func, _, _) in _COMMANDS.items():
+        help_text = (func.__doc__ or "").strip().splitlines()[0]
+        sub = commands.add_parser(
+            name, help=help_text, description=help_text, formatter_class=_Formatter, allow_abbrev=False
+        )
+        sub.add_argument("--config", dest="config_path", metavar="PATH", help="Config file (key = value lines).")
+        sub.add_argument("--out", metavar="PATH", help="Write output to this path instead of stdout.")
+        sub.add_argument("--format", dest="fmt", choices=_FORMATS, help="Output format override.")
+        sub.add_argument(
+            "--seed-config", dest="seed", action="store_true", help="Print a commented sample config and exit."
+        )
+    return parser
+
+
+_PARSER = _build_parser()
 
 
 def __getattr__(name: str):
@@ -629,22 +665,22 @@ def __getattr__(name: str):
 def main(argv=None) -> int:
     """Entry point with the documented exit-code contract (0 / 1 / 2)."""
     try:
-        code = cli.main(args=argv, standalone_mode=False)
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
-    except click.exceptions.Abort:
+        args = _PARSER.parse_args(argv)
+        return _run_command(args.command, args.config_path, args.out, args.fmt, args.seed)
+    except SystemExit as exc:  # --help, written to stdout
+        return exc.code
+    except _UsageError as exc:
+        _stderr_line(f"error: {exc}")
         return 1
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        _stderr_line(f"config error: {exc}")
         return 1
     except SupratoaError as exc:
-        click.echo(f"verification failure: {exc}", err=True)
+        _stderr_line(f"verification failure: {exc}")
         return 2
     except Exception as exc:  # malformed input must never escape as a traceback
-        click.echo(f"error: {exc}", err=True)
+        _stderr_line(f"error: {exc}")
         return 1
-    return code if isinstance(code, int) else 0
 
 
 if __name__ == "__main__":

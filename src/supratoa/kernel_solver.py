@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .algebra import GradedKernel, KernelCells, QPoly, Rational, RationalLike, hbar_weight
+from .algebra import GradedKernel, KernelCells, QPoly, Rational, RationalLike, _cell_float, hbar_weight
 from .classical_toa import Potential
 
 
@@ -75,7 +75,7 @@ def _difference_terms(V: Potential) -> list[tuple[int, int, Rational]]:
 
 def _push_layers(
     moves: list[tuple[int, int, Rational]], Jmax: int, stride: int
-) -> list[tuple[dict[int, int], int]]:
+) -> Iterator[tuple[dict[int, int], int]]:
     """The layer loop of the recurrence, on integer keys k = m * stride + s.
 
     Each move (r, delta, c) is one difference term: it reads layer j-1-r,
@@ -86,10 +86,12 @@ def _push_layers(
     integer sum t over 2 j m E, m = k // stride. With M the lcm of the
     layer's m, that is t (M / m) over L = 2 j E M, and one gcd of L and
     those numerators reduces the layer to D_j. Layers list their keys in
-    ascending order.
+    ascending order, and each is yielded as soon as it is complete, so a
+    caller can stop the loop before the next one is pushed.
     """
     terms = [(r, delta, c.numerator, c.denominator) for r, delta, c in moves]
     layers: list[tuple[dict[int, int], int]] = [({stride: 1}, 4)]  # the seed (m, s) = (1, 0)
+    yield layers[0]
     for j in range(1, Jmax + 1):
         active = [(delta, p, q, layers[j - 1 - r]) for r, delta, p, q in terms if r < j]
         E = math.lcm(*(D * q for _, _, q, (_, D) in active))
@@ -104,7 +106,7 @@ def _push_layers(
         L = 2 * j * E * M
         g = math.gcd(L, *layer.values())
         layers.append(({k: n // g for k, n in layer.items()}, L // g))
-    return layers
+        yield layers[j]
 
 
 def solve_kernel_general(req: KernelRequest) -> GradedKernel:
@@ -138,10 +140,33 @@ def solve_kernel_at_hbar(req: KernelRequest, hbar: float) -> KernelCells:
     C[m, j] = (w / 2 j m) sum c_{l,r} C[m-l+2r, j-1-r]. The cells are `==`
     to GradedKernel.cells(hbar) of the graded table, in fewer entries: one
     per (m, j) instead of one per (m, j, s).
+
+    The cells are for float evaluation, so each layer is checked against the
+    float range as soon as it is pushed, in the order KernelCells rounds the
+    cells: a cell beyond it raises the QuadratureFailure that rounding it
+    would, before the next layer costs anything. Cells that underflow are
+    kept.
     """
     w = hbar_weight(req.mu, hbar)
     moves = [(r, l - 2 * r, c * w) for l, r, c in _difference_terms(req.V)]
-    return KernelCells(_push_layers(moves, req.Jmax, 1), req.mu, hbar)
+    layers = []
+    for j, (nums, D) in enumerate(_push_layers(moves, req.Jmax, 1)):
+        _check_float_range(nums, D, j)
+        layers.append((nums, D))
+    return KernelCells(layers, req.mu, hbar)
+
+
+def _check_float_range(nums: dict[int, int], D: int, j: int) -> None:
+    """QuadratureFailure at the first cell n / D of layer j, in key order, beyond the float range.
+
+    With a and b the bit lengths of |n| and D, |n| / D < 2^(a - b + 1), so
+    a - b <= 1022 keeps the cell below 2^1023; only the rest are settled by
+    the rounding KernelCells runs.
+    """
+    bits = D.bit_length() + 1022
+    for m, n in nums.items():
+        if n.bit_length() > bits:
+            _cell_float(n, D, m, j)
 
 
 def solve_kernel_harmonic(muomega: RationalLike, Jmax: int, mu: RationalLike = 1) -> GradedKernel:

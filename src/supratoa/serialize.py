@@ -19,10 +19,14 @@ if TYPE_CHECKING:
     from .numerics import CommutatorReport
 
 
+def _digit_limit() -> str:
+    """How many digits an exact number written out may have, in words."""
+    return f"more than {sys.get_int_max_str_digits()} digits, the limit of int-to-str conversion"
+
+
 def _too_long(what: str, keys: str) -> ConfigError:
     """The error for an exact number with more digits than int-to-str conversion writes."""
-    limit = f"more than {sys.get_int_max_str_digits()} digits, the limit of int-to-str conversion"
-    return ConfigError(f"{what} has {limit}; {keys} set its size")
+    return ConfigError(f"{what} has {_digit_limit()}; {keys} set its size")
 
 
 def poly_to_pairs(p: QPoly) -> list[list]:

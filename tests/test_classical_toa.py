@@ -19,6 +19,7 @@ from supratoa.classical_toa import (
     _interval,
     convergence_margin,
     local_toa,
+    local_toa_value,
     series_tail_bound,
     shift_arrival,
     toa_iterate_closed,
@@ -202,6 +203,42 @@ class TestIntegerIterates:
         coefficients = sum(len(poly.coeffs) for poly in series.terms.values())
         assert coefficients == 260
         assert made[0] <= coefficients + 4
+
+
+def float_bits(f, *args):
+    """f(*args) as float.hex, which tells -0.0 from 0.0, or the OverflowError it raises."""
+    try:
+        return f(*args).hex()
+    except OverflowError:
+        return OverflowError
+
+
+class TestLocalSeriesValue:
+    """The toa command's series sum, straight from the integer iterates."""
+
+    @given(
+        st.dictionaries(st.integers(min_value=0, max_value=6), params, max_size=5),
+        params,
+        params,
+        st.integers(min_value=0, max_value=14),
+        st.one_of(st.floats(-4, 4), st.sampled_from([1e160, -1e200])),
+        st.one_of(st.floats(-3, 3), st.sampled_from([1e-170, -1e150, 1e300])).filter(bool),
+    )
+    @example({}, F(3, 2), F(1, 3), 9, 0.7, -0.4)  # free particle: every iterate after the first is zero
+    @example({4: F(1)}, F(0), F(1, 2), 5, 0.3, 1.0)  # mu = 0: every iterate is zero
+    @example({2: F(1, 2), 3: F(1, 3), 6: F(1, 7)}, F(2), F(1, 3), 14, 0.2, 1.3)
+    @example({2: F(1, 2)}, F(1), F(0), 12, 0.2, 1e-17)  # p^-(2k+1) beyond the float range
+    @settings(max_examples=80, deadline=None)
+    def test_equals_evaluate_bit_for_bit(self, coeffs, mu, x, K, q, p):
+        V = Potential.from_pairs(coeffs.items())
+        expected = float_bits(local_toa(V, mu, x, K).evaluate, q, p)
+        assert float_bits(local_toa_value, V, mu, x, K, q, p) == expected
+
+    def test_refuses_what_evaluate_refuses(self):
+        with pytest.raises(ZeroDivisionError):
+            local_toa_value(HARMONIC, 1, 0, 4, 0.2, 0.0)
+        with pytest.raises(ValueError, match="series order must be >= 0"):
+            local_toa_value(HARMONIC, 1, 0, -1, 0.2, 1.0)
 
 
 class TestQuadrature:
@@ -535,16 +572,17 @@ class TestQuadratureOracle:
         assert_oracle_time(self.SEXTIC, q, x, -p, mu)
 
     def test_graded_panels_stay_few(self, monkeypatch):
-        # the barrier at f = 1 and a 1e-11 gap at x: a dozen panel ends at
-        # most, and the rule's first level (n and 2n nodes, one call each)
-        # meets the tolerance on them
+        # the barrier at f = 1 and a 1e-11 gap at x: one row of a dozen panel
+        # ends at most, and the rule's first level (n and 2n nodes, one call
+        # each) meets the tolerance on them
         seen = []
         integrate = arrival._integrate
 
         def counted(g, ends, *args):
             calls = []
-            result = integrate(lambda x: calls.append(x.size) or g(x), ends, *args)
-            seen.append((len(ends), len(calls)))
+            result = integrate(lambda x, i: calls.append(x.size) or g(x, i), ends, *args)
+            assert ends.shape[0] == 1
+            seen.append((ends.shape[1], len(calls)))
             return result
 
         monkeypatch.setattr(arrival, "_integrate", counted)
@@ -556,3 +594,79 @@ class TestQuadratureOracle:
         toa_quadrature(HARMONIC, PhasePoint(0.1, p, x=0.8))
         assert len(seen) == 2 and all(2 < ends <= 12 and calls == 2 for ends, calls in seen), seen
 
+
+
+def one_row_results(V, pts, tol):
+    """toa_quadrature on each point alone: float.hex, or the error's class and message."""
+    out = []
+    for pt in pts:
+        try:
+            out.append(toa_quadrature(V, pt, tol).hex())
+        except (NotAccessible, QuadratureFailure, ZeroMomentum) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+# V = q^2 - q^4/4: a barrier of height 1 at q = sqrt(2)
+BARRIER_V = Potential.from_pairs([(2, 1), (4, F(-1, 4))])
+
+
+def barrier_rows():
+    """Rows below the peak, just above it (exact gaps), well above it, and at q == x."""
+    pts = []
+    for q in (0.3, 0.9, 1.2 * math.sqrt(2), 1.6, -1.7, 0.5):
+        for energy in (0.5, 1 - 1e-3, 1 + 1e-9, 1 + 1e-3, 2.0):
+            gap = energy - BARRIER_V.value(q)
+            if gap > 0:
+                p = math.sqrt(2 * gap)
+                pts += [PhasePoint(q, p), PhasePoint(q, -p, x=-0.4, mu=2.0), PhasePoint(q, p, x=q)]
+    return pts
+
+
+GOOD_ROWS = [PhasePoint(0.2, 1.0), PhasePoint(-0.3, 2.0), PhasePoint(0.5, -0.7, x=0.1)]
+
+
+class TestArrivalTimesInBatches:
+    """A toa grid's rows, integrated in batches, get what toa_quadrature gives each alone."""
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-17], ids=["tol-1e-10", "tol-1e-17"])
+    def test_barrier_rows(self, tol, monkeypatch):
+        pts = barrier_rows()
+        expected = one_row_results(BARRIER_V, pts, tol)
+        kinds = {r if isinstance(r, str) else r[1].split(" ", 1)[0] for r in expected}
+        assert "0x0.0p+0" in kinds and "H" in kinds  # q == x and rows below the peak
+        if tol < 1e-16:
+            assert "quadrature" in kinds  # a batch raises, then runs row by row
+        batches = []
+        integrate = arrival._integrate
+
+        def counted(g, ends, *args):
+            batches.append(len(ends))
+            return integrate(g, ends, *args)
+
+        monkeypatch.setattr(arrival, "_integrate", counted)
+        got = arrival.arrival_times(BARRIER_V, pts, tol)
+        assert [r.hex() if isinstance(r, float) else (type(r), str(r)) for r in got] == expected
+        assert 1 in batches and max(batches) > 4  # exact-gap rows alone, the others together
+        if tol > 1e-16:
+            assert len(batches) < sum(1 for pt in pts if pt.q != pt.x) / 4
+
+    @pytest.mark.parametrize(
+        "pairs, bad",
+        [
+            ({2: F(1, 2)}, PhasePoint(0.2, 1e200)),
+            ({2: F(1, 2)}, PhasePoint(0.2, 1.0, mu=1e-320)),
+            ({2: F(1, 2)}, PhasePoint(1e200, 1.0)),
+            ({2: F(1, 2)}, PhasePoint(0.2, 1e-200)),
+            ({2: F(10) ** 400}, PhasePoint(0.2, 1.0)),
+            ({3: F(1, 10**300), 1: F(10**300)}, PhasePoint(0.2, 1.0)),
+        ],
+        ids=["p-overflow", "mu-underflow", "q-overflow", "p-underflow", "coefficient-overflow", "ratio-overflow"],
+    )
+    def test_non_finite_rows(self, pairs, bad):
+        # the points of cli's test_non_finite_float_is_named, among rows that integrate
+        V = Potential.from_pairs(pairs.items())
+        pts = [GOOD_ROWS[0], bad, *GOOD_ROWS[1:]]
+        got = arrival.arrival_times(V, pts, 1e-10)
+        assert [r.hex() if isinstance(r, float) else (type(r), str(r)) for r in got] == one_row_results(V, pts, 1e-10)
+        assert isinstance(got[1], (QuadratureFailure, ZeroMomentum))

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -17,8 +18,9 @@ import numpy
 import pytest
 
 import supratoa
-from supratoa import algebra, cli
+from supratoa import algebra, cli, kernel_solver
 from supratoa.classical_toa import Potential
+from supratoa.errors import QuadratureFailure
 from supratoa.cli import main
 from supratoa.kernel_solver import KernelRequest, kernel_eval, solve_kernel_general, solve_kernel_harmonic
 from supratoa.serialize import kernel_from_dict, kernel_json_chunks
@@ -67,7 +69,8 @@ def digest(text):
 
 
 # V is evaluated once per array of critical points, so a toa job or a small
-# toa grid makes a few hundred polynomial evaluations, mostly QUADPACK's nodes.
+# toa grid makes a few hundred polynomial evaluations, mostly on the arrays of
+# the Gauss-Legendre rule's nodes.
 MAX_POLY_CALLS = 1000
 
 
@@ -114,6 +117,32 @@ class TestEntryPoints:
         code, _, err = invoke(["frobnicate"])
         assert code == 1
         assert "frobnicate" in err
+
+    def test_subcommand_help_goes_to_stdout(self):
+        code, out, err = invoke(["toa", "--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("Usage: supratoa toa") and "--seed-config" in out
+
+    @pytest.mark.parametrize("args", [["--conf", "run.conf"], ["--seed"], ["--form", "json"]])
+    def test_abbreviated_flag_refused(self, args):
+        code, out, err = invoke(["kernel", *args])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: unrecognized arguments: {' '.join(args)}\nUsage: supratoa")
+
+    def test_usage_errors_exit_one(self):
+        for args in (["kernel", "--format", "xml"], ["kernel", "--config"], ["kernel", "extra"], ["--config", "x"]):
+            code, out, err = invoke(args)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and "\nUsage: supratoa" in err, err
+
+    def test_cli_import_loads_neither_click_nor_numpy(self):
+        src = str(Path(supratoa.__file__).resolve().parents[1])
+        code = "import sys, supratoa.cli; print(sorted(m for m in ('click', 'numpy') if m in sys.modules))"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
     @pytest.mark.parametrize("cmd", COMMANDS)
     def test_config_required(self, cmd):
@@ -351,7 +380,10 @@ class TestConfigErrors:
     def test_rational_too_long_to_write_rejected(self, tmp_path):
         code, out, err = invoke(["kernel", "--config", write_config(tmp_path, "potential = free\nmu = 1e5000\n")])
         assert (code, out) == (1, "")
-        assert err.startswith("config error: key 'mu': Exceeds the limit (4300 digits) for integer string conversion")
+        assert err == (
+            "config error: key 'mu': its numerator or denominator has more than 4300 digits,"
+            " the limit of int-to-str conversion\n"
+        )
 
     @pytest.mark.parametrize("cmd, fmt", REFUSED)
     @pytest.mark.parametrize("where", ["flag", "config"])
@@ -510,6 +542,17 @@ class TestCommutatorCommand:
         code, out, err = invoke(["commutator", "--config", write_config(tmp_path, text)])
         assert (code, out) == (2, "")
         assert err == f"verification failure: {message} is beyond the float range\n"
+
+
+    def test_non_finite_integral_is_one_line(self, tmp_path):
+        # mu = 1e-320 makes hbar^2 / 2 mu infinite: no numpy warning reaches stderr
+        text = cli._SAMPLES["commutator"].replace("mu = 1", "mu = 1e-320")
+        with warnings.catch_warnings(record=True) as caught:  # a CLI run would print them on stderr
+            warnings.simplefilter("always")
+            code, out, err = invoke(["commutator", "--config", write_config(tmp_path, text)])
+        assert [str(w.message) for w in caught] == []
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"verification failure: non-finite integral over panels \[[^\n]*\]\n", err), err
 
 
 class TestWeylCompareCommand:
@@ -744,6 +787,37 @@ class TestFloatCommandsSolveAtHbar:
         code, out, err = invoke([cmd, "--config", write_config(tmp_path, text)])
         assert (code, out) == (2, "")
         assert re.fullmatch(f"verification failure: {message}\n", err), err
+
+
+    def test_overflowing_cell_refused_at_its_layer(self, tmp_path, monkeypatch):
+        # at hbar = 1e-300, w = mu / 2 hbar^2 has about 2,000 bits, and cell
+        # (3, 1) is beyond the float range: the solve stops at layer 1 instead
+        # of pushing all 40 layers first
+        message = "kernel cell (m, j) = (3, 1) is beyond the float range"
+        text = "grid_kind = kernel\npotential = 2:1/2 3:1/3 6:1/7\nhbar = 1e-300\njmax = 40\nnq = 3\nnqp = 3\n"
+        code, out, err = invoke(["grid", "--config", write_config(tmp_path, text)])
+        assert (code, out, err) == (2, "", f"verification failure: {message}\n")
+
+        pushed = []
+        push = kernel_solver._push_layers
+
+        def counted(*args):
+            for layer in push(*args):
+                pushed.append(layer)
+                yield layer
+
+        monkeypatch.setattr(kernel_solver, "_push_layers", counted)
+        V = Potential.from_pairs([(2, F(1, 2)), (3, F(1, 3)), (6, F(1, 7))])
+        with pytest.raises(QuadratureFailure, match=re.escape(message)):
+            kernel_solver.solve_kernel_at_hbar(KernelRequest(V, 1, 40), 1e-300)
+        assert len(pushed) == 2
+
+    def test_overflowing_mass_stays_a_config_error(self, tmp_path):
+        # the float of mu is checked before the solve refuses a cell
+        text = "potential = 2:1/2\nmu = 1e400\njmax = 4\n"
+        code, out, err = invoke(["commutator", "--config", write_config(tmp_path, text)])
+        assert (code, out) == (1, "")
+        assert err == f"config error: key 'mu': {INFINITE}\n"
 
 
 class TestToaCommand:
