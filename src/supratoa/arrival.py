@@ -68,7 +68,7 @@ def _graded_ends(breaks: list[float], widths: list[float], x: float, q: float) -
     distances width * _GRADE_RATIO^j (j = 0, 1, ...) below half the panel,
     the width floored so that there are at most _GRADE_MAX of them. Each
     graded panel then spans a fixed ratio of distances to the nearly
-    singular point, so the Gauss-Legendre rule converges on it as fast as
+    singular point, so the Gauss-Kronrod rule converges on it as fast as
     on a smooth integrand, however small H - V is at the breakpoint.
     """
     ends = set(breaks)
@@ -178,8 +178,11 @@ def arrival_times(V: Potential, pts: list[PhasePoint], tol: float) -> list:
     value and estimate a call on that row alone gives; a row with exact
     gaps is a batch of one. A batch that raises is integrated again row by
     row, so that each row gets its own error. A row whose estimate exceeds
-    max(tol, 1e-14 |integral|) gets QuadratureFailure.
+    max(tol, 1e-14 |integral|) gets QuadratureFailure. A tolerance that is
+    not positive and finite raises ValueError.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     results: list = [None] * len(pts)
     batches: dict[int, list] = {}  # number of panel ends -> rows
     singles = []

@@ -302,8 +302,9 @@ def toa_quadrature(V: Potential, pt: PhasePoint, tol: float = 1e-10) -> float:
     V between them; otherwise NotAccessible names the lowest such point.
     The integral is the package's one rule (quadrature._integrate) on
     graded panels; QuadratureFailure is raised when its error estimate
-    exceeds max(tol, 1e-14 |integral|). This is the one-row case of
-    arrival.arrival_times, which a toa grid calls on all its rows at once.
+    exceeds max(tol, 1e-14 |integral|), and ValueError when tol is not
+    positive and finite. This is the one-row case of arrival.arrival_times,
+    which a toa grid calls on all its rows at once.
     """
     from .arrival import arrival_times  # the rule and its panels load with the first arrival time
 

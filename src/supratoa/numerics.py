@@ -31,6 +31,12 @@ _MAX_TERMS = 800
 _SERIES_TOL = 1e-15
 
 
+# Where 1 - u^2 is below this, exp(-1/(1-u^2)) <= exp(-1000) is 0 in doubles.
+# u is clipped to [-1, 1] and 1 - u^2 clamped to this, so points on or
+# outside the support give exp(-1000) = 0, and their derivatives 0 * finite.
+_BUMP_EDGE = 1e-3
+
+
 @dataclass(frozen=True)
 class BumpProfile:
     """Smooth compactly supported test function with closed-form derivatives.
@@ -46,37 +52,34 @@ class BumpProfile:
     amplitude: complex = 1.0
 
     def __post_init__(self):
-        if self.halfwidth <= 0:
-            raise ValueError("halfwidth must be positive")
+        if not 0 < self.halfwidth < math.inf:
+            raise ValueError("halfwidth must be positive and finite")
 
     @property
     def support(self) -> tuple[float, float]:
         return (self.center - self.halfwidth, self.center + self.halfwidth)
 
-    def _parts(self, q):
-        """u, 1 - u^2 (1 outside the support) and exp(-1/(1-u^2)) (0 outside)."""
-        u = (np.asarray(q, dtype=float) - self.center) / self.halfwidth
-        inside = np.abs(u) < 1.0
-        one = np.where(inside, 1.0 - u * u, 1.0)
-        return u, one, np.where(inside, np.exp(-1.0 / one), 0.0)
+    def _terms(self, q):
+        """u clipped to [-1, 1], r = 1/(1 - u^2) and exp(-r), which is 0 on and outside the support."""
+        u = np.clip((np.asarray(q, dtype=float) - self.center) / self.halfwidth, -1.0, 1.0)
+        r = 1.0 / np.maximum(1.0 - u * u, _BUMP_EDGE)
+        return u, r, np.exp(-r)
 
     def value(self, q):
-        _, _, g = self._parts(q)
-        return self.amplitude * g
+        return self.amplitude * self._terms(q)[2]
 
     def deriv1(self, q):
-        u, one, g = self._parts(q)
-        return self.amplitude * g * (-2.0 * u / one**2) / self.halfwidth
+        u, r, g = self._terms(q)
+        return self.amplitude * g * (-2.0 * u * r * r) / self.halfwidth
 
     def deriv2(self, q):
         return self.value_deriv2(q)[1]
 
     def value_deriv2(self, q):
-        """(value, deriv2) from one evaluation of the bump."""
-        u, one, g = self._parts(q)
-        inner = 4.0 * u * u / one**4 - 2.0 / one**2 - 8.0 * u * u / one**3
+        """(value, deriv2) from one pass: phi'' = phi r^2 (4 u^2 r (r - 2) - 2) / h^2."""
+        u, r, g = self._terms(q)
         value = self.amplitude * g
-        return value, value * inner / self.halfwidth**2
+        return value, value * (r * r * (4.0 * u * u * r * (r - 2.0) - 2.0) / self.halfwidth**2)
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,8 @@ class QuadSpec:
     abs_tol: float
 
     def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
+        if not 0 < self.abs_tol < math.inf:
+            raise ValueError("abs_tol must be positive and finite")
 
 
 def hyper0f1(z: float) -> float:

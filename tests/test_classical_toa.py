@@ -262,6 +262,13 @@ class TestQuadrature:
     def test_arrival_at_start_is_zero(self):
         assert toa_quadrature(HARMONIC, PhasePoint(0.7, 2.0, x=0.7)) == 0.0
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            toa_quadrature(HARMONIC, PhasePoint(0.2, 1.0), tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            arrival.arrival_times(HARMONIC, [PhasePoint(0.2, 1.0)], tol)
+
     def test_zero_momentum_rejected(self):
         with pytest.raises(ZeroMomentum):
             toa_quadrature(HARMONIC, PhasePoint(0.2, 0.0))
@@ -573,8 +580,8 @@ class TestQuadratureOracle:
 
     def test_graded_panels_stay_few(self, monkeypatch):
         # the barrier at f = 1 and a 1e-11 gap at x: one row of a dozen panel
-        # ends at most, and the rule's first level (n and 2n nodes, one call
-        # each) meets the tolerance on them
+        # ends at most, and the rule's first level (one call, on the 2n + 1
+        # Gauss-Kronrod nodes of each panel) meets the tolerance on them
         seen = []
         integrate = arrival._integrate
 
@@ -592,7 +599,7 @@ class TestQuadratureOracle:
         toa_quadrature(V, PhasePoint(q, p))
         p = math.sqrt(2 * (HARMONIC.value(0.8) - HARMONIC.value(0.1) + 1e-11))
         toa_quadrature(HARMONIC, PhasePoint(0.1, p, x=0.8))
-        assert len(seen) == 2 and all(2 < ends <= 12 and calls == 2 for ends, calls in seen), seen
+        assert len(seen) == 2 and all(2 < ends <= 12 and calls == 1 for ends, calls in seen), seen
 
 
 

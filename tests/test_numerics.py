@@ -64,12 +64,52 @@ def hyper0f1_oracle(z, nterms=90):
     return float(total)
 
 
+class TestQuadSpec:
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, -math.inf])
+    def test_refuses_a_tolerance_that_is_not_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="abs_tol must be positive"):
+            QuadSpec(tol)
+
+
 class TestBumpProfile:
     def test_validation(self):
         with pytest.raises(ValueError):
             BumpProfile(0.0, 0.0)
         with pytest.raises(ValueError):
             BumpProfile(0.0, -0.5)
+
+    @pytest.mark.parametrize("halfwidth", [math.nan, math.inf])
+    def test_refuses_nan_and_infinite_halfwidths(self, halfwidth):
+        with pytest.raises(ValueError, match="halfwidth must be positive and finite"):
+            BumpProfile(0.0, halfwidth)
+
+    # inside, within 1e-6 of the edges, on them and outside; center 0 and
+    # halfwidth 1 make u = q exactly
+    EDGE_POINTS = [0.0, 0.3, -0.6, 0.77, 0.9, -0.99, 0.999, 1 - 1e-6, -(1 - 1e-6), 1.0, -1.0,
+                   1 + 1e-9, 1.5, -3.0, 1e300]
+
+    @pytest.mark.filterwarnings("error")
+    def test_value_deriv2_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        phi = BumpProfile(0.0, 1.0)
+        qs = np.array(self.EDGE_POINTS)
+        value, deriv2 = phi.value_deriv2(qs)
+        assert not np.isnan(value).any() and not np.isnan(deriv2).any()
+        assert value.tolist() == phi.value(qs).tolist()
+        with mp.workdps(40):
+            def bump(t):
+                return mp.exp(-1 / (1 - t * t)) if abs(t) < 1 else mp.mpf(0)
+
+            for q, v, d2 in zip(qs.tolist(), value.tolist(), deriv2.tolist()):
+                ref_v, ref_d2 = float(bump(mp.mpf(q))), float(mp.diff(bump, mp.mpf(q), 2))
+                if abs(q) >= 1:
+                    assert v == d2 == 0.0, q
+                    continue
+                # rounding 1 - u^2 costs eps r relative in r, so eps r^2 in exp(-r)
+                r = 1.0 / (1.0 - q * q)
+                tol = 8 * sys.float_info.epsilon * (1 + r * r)
+                assert abs(v - ref_v) <= tol * abs(ref_v), q
+                assert abs(d2 - ref_d2) <= tol * abs(ref_d2), q
 
     def test_support_and_vanishing_outside(self):
         phi = BumpProfile(1.0, 0.25)
@@ -531,18 +571,22 @@ class TestWorkCounters:
         # node would make 1,049
         assert 0 < len(sizes) <= 100
         assert max(sizes) <= _NODE_CAP
+        # one Gauss-Kronrod evaluation per level (the n and 2n Gauss sums of
+        # each level took 216,064)
+        assert sum(sizes) == 119_827
 
     def test_free_commutator_respects_the_node_cap(self, sizes):
         commutator_residual(
             Potential.free(), FREE_KERNEL, TestCommutator.PHI, TestCommutator.PSI, 1.0, 1.0, QuadSpec(1e-10)
         )
         assert max(sizes) <= _NODE_CAP
-        # no node on the empty panel of an outer point at or outside supp psi,
-        # where the panels [lo, clip(q), hi] make 709,632; the outer row at
-        # q = 0.47105... takes a second inner level, its first-level estimate
-        # 1.0032e-13 against a tolerance of 1e-13 (the rule with 40-digit
-        # weights counts the same, scipy's roots_legendre 542,464)
-        assert sum(sizes) == 542_976
+        # the outer rule closes at its second level, 129 + 257 points per
+        # panel; of those 772 inner rows, 615 take a second level and none a
+        # third, at 129 and then 257 node values per panel. No node on the
+        # empty panel of an outer point at or outside supp psi, where the
+        # panels [lo, clip(q), hi] make 515,286. (The n and 2n Gauss sums of
+        # each level, 64 + 128 + 256 nodes per panel over two levels, took 542,976.)
+        assert sum(sizes) == 395_331
 
 
 ONE_RULE_SCRIPT = """
@@ -551,13 +595,14 @@ from fractions import Fraction as F
 from supratoa.classical_toa import PhasePoint, Potential, toa_quadrature
 from supratoa.kernel_solver import solve_kernel_harmonic
 from supratoa.numerics import BumpProfile, QuadSpec, commutator_residual, kernel_integral_form
-from supratoa.quadrature import _gauss_legendre
+from supratoa.quadrature import _gauss_kronrod, _gauss_legendre
 V = Potential.from_pairs([(2, F(1, 2))])
 phi, psi = BumpProfile(0.0, 0.5), BumpProfile(0.1, 0.5)
 commutator_residual(V, solve_kernel_harmonic(1, 4), phi, psi, 1.0, 1.0, QuadSpec(1e-8))
 kernel_integral_form(V, 1.0, 1.0, 0.3, 0.1, QuadSpec(1e-12))
 toa_quadrature(V, PhasePoint(0.2, 1.0))
 _gauss_legendre(512)
+_gauss_kronrod(256)
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
 
