@@ -538,15 +538,22 @@ class KernelCells:
             top = {0: 0}  # row m -> its highest j
             ms, js, values = [], [], []
             for j, (nums, D) in enumerate(self.layers):
-                for m, n in nums.items():
-                    values.append(_cell_float(n, D, m, j))
-                    ms.append(m)
-                    js.append(j)
-                    top[m] = j
+                try:
+                    values += [n / D for n in nums.values()]
+                except OverflowError:
+                    for m, n in nums.items():
+                        _cell_float(n, D, m, j)  # names the first cell beyond the float range
+                ms += nums
+                js += [j] * len(nums)
+                top.update(dict.fromkeys(nums, j))
             dense = np.zeros((max(top) + 1, max(js, default=0) + 1))
             dense[ms, js] = values
             rows = sorted(sorted(top), key=lambda m: -top[m])
-            counts = [sum(top[m] >= j for m in rows) for j in range(dense.shape[1])]
+            counts = [0] * dense.shape[1]  # rows topping out at z^j, then summed from the top down
+            for j in top.values():
+                counts[j] += 1
+            for j in range(len(counts) - 2, -1, -1):
+                counts[j] += counts[j + 1]
             slot = [-1] * len(dense)
             for i, m in enumerate(rows):
                 slot[m] = i

@@ -83,11 +83,15 @@ def _push_layers(
     integers: each layer is held as integer numerators over its minimal
     common denominator D_j, move c = p/q reads layer j-1-r scaled to
     E = lcm(D_{j-1-r} q) over the active moves, and key k of layer j is its
-    integer sum t over 2 j m E, m = k // stride. With M the lcm of the
-    layer's m, that is t (M / m) over L = 2 j E M, and one gcd of L and
-    those numerators reduces the layer to D_j. Layers list their keys in
-    ascending order, and each is yielded as soon as it is complete, so a
-    caller can stop the loop before the next one is pushed.
+    integer sum t over 2 j m E, m = k // stride. Each t / m is reduced
+    first, to t' / m'; with M the lcm of the layer's m', the entry is
+    t' (M / m') over L = 2 j E M, and one gcd of L and those numerators
+    reduces the layer to D_j. (For the sextic at J = 40 the lcm of the
+    unreduced m reaches 345 bits, about 320 of which that gcd strips
+    again; the lcm of the m' stays within 30 bits, and the gcd is 1 on
+    every layer.) Layers list their keys in ascending order, and each is
+    yielded as soon as it is complete, so a caller can stop the loop
+    before the next one is pushed.
     """
     terms = [(r, delta, c.numerator, c.denominator) for r, delta, c in moves]
     layers: list[tuple[dict[int, int], int]] = [({stride: 1}, 4)]  # the seed (m, s) = (1, 0)
@@ -101,11 +105,19 @@ def _push_layers(
             for k, n in nums.items():
                 k += delta
                 sums[k] = sums.get(k, 0) + scale * n
-        M = math.lcm(*(k // stride for k, t in sums.items() if t))
-        layer = {k: t * (M // (k // stride)) for k, t in sorted(sums.items()) if t}
+        parts = {}  # k -> t / m in lowest terms, cheap since m is small
+        for k, t in sorted(sums.items()):
+            if t:
+                m = k // stride
+                g = math.gcd(t, m)
+                parts[k] = (t // g, m // g)
+        M = math.lcm(*(m for _, m in parts.values()))
+        layer = {k: t * (M // m) for k, (t, m) in parts.items()}
         L = 2 * j * E * M
         g = math.gcd(L, *layer.values())
-        layers.append(({k: n // g for k, n in layer.items()}, L // g))
+        if g > 1:
+            layer = {k: n // g for k, n in layer.items()}
+        layers.append((layer, L // g))
         yield layers[j]
 
 

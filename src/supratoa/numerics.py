@@ -17,8 +17,8 @@ import numpy as np
 
 from .algebra import GradedKernel, KernelCells
 from .classical_toa import Potential, _finite
-from .errors import ArgumentTooNegative, NoConvergence, ZeroOverlap
-from .kernel_solver import kernel_eval
+from .errors import ArgumentTooNegative, NoConvergence, QuadratureFailure, ZeroOverlap
+from .kernel_solver import kernel_eval  # noqa: F401  (perfbench/trace.py wraps numerics.kernel_eval)
 from .quadrature import _integrate
 
 # Below this the alternating 0F1 series cancels too much for doubles: against
@@ -143,28 +143,49 @@ def kernel_integral_form(
 
 
 def _as_kernel_func(K, hbar: float):
-    """(cells at hbar or None, kernel function (q, q') -> <q|T|q'>) of a kernel
-    argument: a GradedKernel is collapsed, cells at another hbar refused."""
+    """(c, f) with <q|T|q'> = c f(q, q') for a kernel argument.
+
+    For a table's cells at hbar, c = mu / (i hbar) and f(q, q') = T(q + q',
+    q - q') sgn(q - q'), a real function, so the integrals run on floats and
+    take c once; the cells are rounded here, so one beyond the float range
+    is named before anything is integrated. A GradedKernel is collapsed to
+    its cells, and cells at another hbar are refused. A callable is f
+    itself, with c = 1. A c of magnitude 0 or infinity raises
+    QuadratureFailure: the integrals run at tolerances divided by |c|.
+    """
     if isinstance(K, GradedKernel):
         K = K.cells(hbar)
     if isinstance(K, KernelCells):
         if K.hbar != hbar:
             raise ValueError(f"cells solved at hbar = {K.hbar!r}, evaluated at {hbar!r}")
-        return K, lambda q, qp: kernel_eval(K, q, qp)
+        K.dense_form()
+        c = float(K.mu) / (1j * K.hbar)  # kernel_eval's factor, bit for bit
+        if not 0 < abs(c) < math.inf:
+            raise QuadratureFailure(f"kernel factor mu / hbar = {K.mu} / {K.hbar!r} is 0 or beyond the float range")
+
+        def f(q, qp):
+            v = q - qp
+            return K.tvalue(q + qp, v) * np.sign(v)
+
+        return c, f
     if callable(K):
-        return None, K
+        return 1, K
     raise TypeError("kernel must be a GradedKernel, KernelCells or a callable (q, q') -> complex")
 
 
 def _apply(kernel_func, f, support: tuple[float, float], qs, epsabs: float) -> tuple[np.ndarray, np.ndarray]:
-    """(T f_q)(q) = integral of <q|T|q'> f_q(q') over the support, at each q of qs.
+    """(T f_q)(q) = integral of kernel_func(q, q') f_q(q') over the support, at each q of qs.
 
-    f(q, q') takes a column of outer points q and node rows q' and returns
-    f_q(q'). The points inside the support are one _integrate batch with
-    the panels [lo, q, hi], so the sgn jump at q' = q is a panel end; the
-    points at or outside an end are another, with the one panel [lo, hi].
-    Each row's value and estimate are those of the panels [lo, clip(q), hi],
-    whose empty panel adds 0. Returns the values and the error estimates.
+    kernel_func is the f of _as_kernel_func: a caller with a factor c
+    passes epsabs = its tolerance / |c|, and multiplies the values by c and
+    the estimates by |c|, so each row closes where the integral of c f f_q
+    would. f(q, q') takes a column of outer points q and node rows q' and
+    returns f_q(q'). The points inside the support are one _integrate batch
+    with the panels [lo, q, hi], so the sgn jump at q' = q is a panel end;
+    the points at or outside an end are another, with the one panel
+    [lo, hi]. Each row's value and estimate are those of the panels
+    [lo, clip(q), hi], whose empty panel adds 0. Returns the values and the
+    error estimates.
     """
     lo, hi = support
     q = np.asarray(qs, dtype=float).reshape(-1, 1)
@@ -188,15 +209,17 @@ def apply_kernel(K, phi: BumpProfile, qgrid, hbar: float, quad: QuadSpec) -> lis
 
     K may be a GradedKernel, its KernelCells at hbar, or a callable kernel
     (q, q') that takes a column of points q, shape (R, 1), and node rows q',
-    shape (R, N), and returns their values (a constant broadcasts). Every returned value is checked
-    finite; the integral of a bounded kernel against a bump must be.
+    shape (R, N), and returns their values (a constant broadcasts). The
+    rule integrates the real factor f of _as_kernel_func against phi at the
+    tolerance over |c|, and c scales the values. Every returned value is
+    checked finite; the integral of a bounded kernel against a bump must be.
     """
-    _, kf = _as_kernel_func(K, hbar)  # a table refuses hbar <= 0; a callable does not read it
+    c, kf = _as_kernel_func(K, hbar)  # a table refuses hbar <= 0; a callable does not read it
     qs = np.asarray(qgrid, dtype=float)
     if not qs.size:
         return []
-    vals, _ = _apply(kf, lambda q, qp: phi.value(qp), phi.support, qs, quad.abs_tol)
-    return [complex(v) for v in vals.tolist()]
+    vals, _ = _apply(kf, lambda q, qp: phi.value(qp), phi.support, qs, quad.abs_tol / abs(c))
+    return [complex(c * v) for v in vals.tolist()]
 
 
 @dataclass(frozen=True)
@@ -231,7 +254,11 @@ def commutator_residual(
     batch of rows (_apply), the outer one over supp(phi)
     split at the ends of supp(psi) inside it, where the outer integrand
     inherits the flat, non-analytic edge of psi, and the overlap and the
-    norms on one panel each. So a tolerance the rule cannot certify raises
+    norms on one panel each. The nested integral runs on the real factor f
+    of _as_kernel_func, <q|T|q'> = c f(q, q'), with the inner and outer
+    tolerances divided by |c|; c then multiplies its value and |c| its
+    estimates, so each row closes at the level the integral of c f would.
+    So a tolerance the rule cannot certify raises
     QuadratureFailure instead of returning a report, and so does a cell of
     the table at hbar or a coefficient of V beyond the float range. K is a
     GradedKernel, its KernelCells at hbar (what the commutator command
@@ -241,12 +268,10 @@ def commutator_residual(
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    cells, kf = _as_kernel_func(K, hbar)
-    # floats of the table, then of V: one beyond the float range is named
-    if cells is not None:
-        cells.dense_form()
-    for d, c in V.poly.coeffs.items():
-        _finite(f"V coefficient of q^{d}", operator.truediv, c.numerator, c.denominator)
+    c, kf = _as_kernel_func(K, hbar)  # the floats of the table, then of V: one beyond the float range is named
+    scale = abs(c)
+    for d, coeff in V.poly.coeffs.items():
+        _finite(f"V coefficient of q^{d}", operator.truediv, coeff.numerator, coeff.denominator)
     inner_tol = max(quad.abs_tol * 1e-3, 5e-15)
 
     lo = max(phi.support[0], psi.support[0])
@@ -276,23 +301,24 @@ def commutator_residual(
 
     def inner(qs):
         nonlocal inner_err
-        vals, errs = _apply(kf, integrand, psi.support, qs, inner_tol)
+        vals, errs = _apply(kf, integrand, psi.support, qs, inner_tol / scale)
         inner_err = max(inner_err, float(errs.max()))
         return vals
 
     # lo and hi are the ends of supp(psi) clipped to supp(phi)
-    commutator, err = _integrate(inner, sorted({*phi.support, lo, hi}), quad.abs_tol)
+    commutator, err = _integrate(inner, sorted({*phi.support, lo, hi}), quad.abs_tol / scale)
 
-    numerator = commutator - 1j * hbar * overlap
+    numerator = c * commutator - 1j * hbar * overlap
     denom = hbar * abs(overlap)
     residual = abs(numerator) / denom
 
     # Each estimate bounds |error| of its complex value, and _integrate
     # accepts up to 1e3 times its tolerance, so the budget takes the
     # estimates returned, not the tolerances: the outer and overlap ones as
-    # they are, and the largest inner one over the length of supp(phi).
-    inner_noise = (2.0 * phi.halfwidth) * inner_err
-    budget = (err + hbar * overlap_err + inner_noise) / denom
+    # they are, and the largest inner one over the length of supp(phi),
+    # the nested ones times |c|.
+    inner_noise = (2.0 * phi.halfwidth) * (scale * inner_err)
+    budget = (scale * err + hbar * overlap_err + inner_noise) / denom
 
     params = {
         "mu": mu,

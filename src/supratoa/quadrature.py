@@ -26,7 +26,11 @@ _GK_LEVELS = (64, 128, 256)
 
 # Node values per call of a batch integrand (whole rows, at least one):
 # it bounds the arrays of one kernel evaluation, and with them peak memory.
-_NODE_CAP = 4096
+# Per commutator job the integrand calls fall 34 -> 18 -> 11 (harmonic,
+# J = 8) and 111 -> 55 -> 30 (free) from 4096 to 8192 to 16384, for the
+# same node values; the commutator benchmark's peak RSS rises about 0.5 MB
+# at 8192 and 1.6 MB at 16384.
+_NODE_CAP = 8192
 
 # QUADPACK's roundoff floor on an error estimate: 50 machine epsilons times
 # the integral of |integrand|.

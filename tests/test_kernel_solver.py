@@ -259,6 +259,20 @@ class TestAtHbar:
             solve_kernel_at_hbar(KernelRequest(QUARTIC, 1, 4), 0.0)
 
 
+class TestLayerReduction:
+    """Each layer's numerators and denominator D_j have no common factor."""
+
+    @given(potentials, masses, st.integers(0, 12), st.sampled_from(HBARS))
+    @settings(max_examples=40, deadline=None)
+    def test_every_layer_of_both_solvers_is_reduced(self, V, mu, jmax, hbar):
+        req = KernelRequest(V, mu, jmax)
+        for layers in (solve_kernel_general(req).layers, solve_kernel_at_hbar(req, hbar).layers):
+            assert len(layers) >= 1
+            for nums, D in layers:
+                assert D > 0 and all(nums.values())
+                assert math.gcd(D, *nums.values()) == 1
+
+
 class TestResidual:
     def test_free_kernel_solves_exactly(self):
         assert pde_residual(general(Potential.free(), 1, 0), Potential.free()) is None

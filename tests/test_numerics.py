@@ -13,7 +13,7 @@ import pytest
 from scipy import integrate
 
 import supratoa
-from supratoa.algebra import GradedKernel
+from supratoa.algebra import GradedKernel, KernelCells
 from supratoa.classical_toa import Potential
 from supratoa.errors import (
     ArgumentTooNegative,
@@ -52,6 +52,21 @@ def classical_slice(V, jmax=12):
     cterm = classical_term(V, 1, jmax)
     table = {(m, j, 0): c for (m, j), c in cterm.items()}
     return GradedKernel(table, 1.0, (max(m for m, _ in cterm), max(j for _, j in cterm)))
+
+
+@pytest.fixture
+def sizes(monkeypatch):
+    """Node values per KernelCells.tvalue call: one call per evaluation of a
+    table's real factor T(q + q', q - q') sgn(q - q'), and per kernel_eval."""
+    seen = []
+    tvalue = KernelCells.tvalue
+
+    def counted(cells, u, v):
+        seen.append(np.broadcast(u, v).size)
+        return tvalue(cells, u, v)
+
+    monkeypatch.setattr(KernelCells, "tvalue", counted)
+    return seen
 
 
 def hyper0f1_oracle(z, nterms=90):
@@ -271,6 +286,37 @@ class TestApplyKernel:
         assert abs(oracle) > 1e-3
         assert abs(got - 1j * oracle) <= 1e-12
 
+    @pytest.mark.parametrize("mu, hbar", [(2, 1.0), (2, 0.7), (50, 0.5)])
+    def test_cells_match_their_kernel_as_a_callable(self, mu, hbar, sizes):
+        # mu / i hbar taken out of the integral, against kernel_eval inside
+        # it (a callable's factor is 1): equal within the two estimates, and
+        # every row closes at the same level, so the node values are the same
+        cells = solve_kernel_general(KernelRequest(HARMONIC, mu, 8)).cells(hbar)
+        phi = BumpProfile(0.1, 0.5)
+        qs = np.linspace(-0.5, 0.7, 13)
+        tol = 1e-11
+        ref, ref_errs = _apply(
+            lambda q, qp: kernel_eval(cells, q, qp), lambda q, qp: phi.value(qp), phi.support, qs, tol
+        )
+        n = len(sizes)
+        got = np.array(apply_kernel(cells, phi, qs, hbar, QuadSpec(tol)))
+        assert sizes[n:] == sizes[:n]
+        c, f = numerics._as_kernel_func(cells, hbar)
+        assert c == mu / (1j * hbar)
+        _, errs = _apply(f, lambda q, qp: phi.value(qp), phi.support, qs, tol / abs(c))
+        assert np.all(np.abs(got) > 1e-3)
+        assert np.all(np.abs(got - ref) <= abs(c) * errs + ref_errs)
+
+    @pytest.mark.parametrize("mu, hbar", [(10**300, 1e-10), (0, 1.0)], ids=["infinite", "zero"])
+    def test_factor_outside_the_floats_refused(self, mu, hbar):
+        # the integrals run at tolerances over |mu / i hbar|, which must be a positive float
+        cells = solve_kernel_general(KernelRequest(Potential.free(), mu, 0)).cells(hbar)
+        phi = BumpProfile(0.0, 0.5)
+        with pytest.raises(QuadratureFailure, match="kernel factor mu / hbar = .* is 0 or beyond the float range"):
+            apply_kernel(cells, phi, [0.1], hbar, QuadSpec(1e-10))
+        with pytest.raises(QuadratureFailure, match="kernel factor"):
+            commutator_residual(Potential.free(), cells, phi, phi, 1.0, hbar, QuadSpec(1e-8))
+
     def test_rejects_non_kernel(self):
         with pytest.raises(TypeError):
             apply_kernel(42, BumpProfile(0.0, 0.5), [0.0], 1.0, QuadSpec(1e-10))
@@ -388,6 +434,33 @@ class TestCommutator:
         report = commutator_residual(QUARTIC, K, self.PHI, self.PSI, 1.0, 1.0, QuadSpec(1e-8))
         assert report.residual < 1e-9
         assert report.residual <= report.error_budget
+
+    def test_complex_amplitudes_give_the_real_residual(self):
+        # the residual does not see the bumps' amplitudes; with complex ones
+        # the nested integral is complex before mu / i hbar multiplies it
+        K = solve_kernel_general(KernelRequest(HARMONIC, 1, 8))
+        real = commutator_residual(HARMONIC, K, self.PHI, self.PSI, 1.0, 1.0, QuadSpec(1e-8))
+        phi = BumpProfile(self.PHI.center, self.PHI.halfwidth, 0.5j)
+        psi = BumpProfile(self.PSI.center, self.PSI.halfwidth, 1 + 1j)
+        report = commutator_residual(HARMONIC, K, phi, psi, 1.0, 1.0, QuadSpec(1e-8))
+        assert report.residual <= report.error_budget
+        assert abs(report.residual - real.residual) <= report.error_budget
+
+    @pytest.mark.parametrize("mu, hbar", [(1, 1.0), (2, 0.7), (1, 5.0)])
+    def test_cells_report_what_their_complex_kernel_reports(self, mu, hbar, sizes):
+        # mu / i hbar outside the nested integral, with the tolerances over
+        # mu / hbar, against kernel_eval inside it as a callable (factor 1):
+        # the same report, from the same node values
+        cells = solve_kernel_general(KernelRequest(HARMONIC, mu, 8)).cells(hbar)
+        quad = QuadSpec(1e-8)
+        ref = commutator_residual(
+            HARMONIC, lambda q, qp: kernel_eval(cells, q, qp), self.PHI, self.PSI, float(mu), hbar, quad
+        )
+        n = len(sizes)
+        got = commutator_residual(HARMONIC, cells, self.PHI, self.PSI, float(mu), hbar, quad)
+        assert sizes[n:] == sizes[:n]
+        assert abs(got.residual - ref.residual) <= 1e-3 * ref.error_budget
+        assert got.error_budget == pytest.approx(ref.error_budget, rel=1e-6)
 
     def test_slightly_wrong_potential_exceeds_budget(self):
         # the harmonic table against H with V scaled by 1001/1000: the
@@ -549,27 +622,16 @@ class TestBatchedRule:
 class TestWorkCounters:
     """Evaluation counts that guard the batched inner rule without timing it."""
 
-    @pytest.fixture
-    def sizes(self, monkeypatch):
-        seen = []
-        evaluate = numerics.kernel_eval
-
-        def counted(cells, q, qp):
-            seen.append(np.broadcast(q, qp).size)
-            return evaluate(cells, q, qp)
-
-        monkeypatch.setattr(numerics, "kernel_eval", counted)
-        return seen
-
     def test_harmonic_commutator_evaluates_few_arrays(self, sizes):
         K = solve_kernel_general(KernelRequest(HARMONIC, 1, 8))
         report = commutator_residual(
             HARMONIC, K, TestCommutator.PHI, TestCommutator.PSI, 1.0, 1.0, QuadSpec(1e-8)
         )
         assert report.residual < 1e-9
-        # one array per level and slice of outer rows; a call per outer
-        # node would make 1,049
-        assert 0 < len(sizes) <= 100
+        # one array per level and slice of outer rows, at most _NODE_CAP
+        # node values each; a call per outer node would make 1,049, and a
+        # cap of 4096 made 34
+        assert len(sizes) == 18
         assert max(sizes) <= _NODE_CAP
         # one Gauss-Kronrod evaluation per level (the n and 2n Gauss sums of
         # each level took 216,064)
@@ -580,6 +642,7 @@ class TestWorkCounters:
             Potential.free(), FREE_KERNEL, TestCommutator.PHI, TestCommutator.PSI, 1.0, 1.0, QuadSpec(1e-10)
         )
         assert max(sizes) <= _NODE_CAP
+        assert len(sizes) == 55  # 111 at a cap of 4096
         # the outer rule closes at its second level, 129 + 257 points per
         # panel; of those 772 inner rows, 615 take a second level and none a
         # third, at 129 and then 257 node values per panel. No node on the
@@ -587,6 +650,19 @@ class TestWorkCounters:
         # panels [lo, clip(q), hi] make 515,286. (The n and 2n Gauss sums of
         # each level, 64 + 128 + 256 nodes per panel over two levels, took 542,976.)
         assert sum(sizes) == 395_331
+
+    def test_factor_off_one_closes_rows_at_the_same_levels(self, sizes):
+        # at mu / hbar = 2 / 0.7 the rule integrates the real factor at the
+        # tolerances over |mu / i hbar|, and every row closes where the
+        # complex kernel's did: the same node values
+        K = solve_kernel_general(KernelRequest(HARMONIC, 2, 8))
+        report = commutator_residual(
+            HARMONIC, K, TestCommutator.PHI, TestCommutator.PSI, 2.0, 0.7, QuadSpec(1e-8)
+        )
+        assert report.residual < 1e-9
+        assert report.residual <= report.error_budget
+        assert len(sizes) == 18
+        assert sum(sizes) == 117_000
 
 
 ONE_RULE_SCRIPT = """
