@@ -354,12 +354,15 @@ class GradedKernel:
     j >= 0, 0 <= s <= max(j-1, 0). Entries are exact rationals and never
     explicitly zero.
 
-    The table is held as layers: layers[j] = ({(m, s): n}, D_j), entry
-    (m, j, s) being the integer n over the layer's common denominator D_j,
-    the form the general solver fills. __init__ builds the layers from
-    entries, D_j the lcm of the layer's denominators and keys in the order
-    given; A is the same table as a dict (m, j, s) -> Fraction, built on
-    each access, and cells(hbar) the cells that float evaluations read.
+    The table is held as layers of rows: layers[j] = ({m: {s: n}}, D_j),
+    entry (m, j, s) being the integer n over the layer's common denominator
+    D_j, the least one, and row m of layer j holding the layer's entries at
+    that power of u. That is the form the general solver fills, with rows
+    and their grades in ascending order. __init__ builds the layers from
+    entries, D_j the lcm of the layer's denominators, rows in the order
+    their first entry is given and grades in the order given; A is the same
+    table as a dict (m, j, s) -> Fraction, built on each access, and
+    cells(hbar) the cells that float evaluations read.
 
     Solver outputs additionally satisfy A[(m, 0, 0)] = 1/4 when m = 1 and 0
     otherwise; that is a property of solutions (verified by boundary_check),
@@ -380,19 +383,26 @@ class GradedKernel:
         potential: QPoly | None = None,
     ):
         items = entries.items() if isinstance(entries, Mapping) else entries
-        rows: dict[int, dict[tuple[int, int], Rational]] = {}
+        fractions: dict[int, dict[int, dict[int, Rational]]] = {}
         for (m, j, s), c in items:
             m, j, s = int(m), int(j), int(s)
             if m < 1 or j < 0 or s < 0 or s > max(j - 1, 0):
                 raise ValueError(f"invalid kernel index (m={m}, j={j}, s={s})")
             c = Fraction(c)
             if c:
-                rows.setdefault(j, {})[(m, s)] = c
+                rows = fractions.get(j)
+                if rows is None:
+                    rows = fractions[j] = {}
+                row = rows.get(m)
+                if row is None:
+                    row = rows[m] = {}
+                row[s] = c
         layers = []
-        for j in range(max(rows, default=-1) + 1):
-            row = rows.get(j, {})
-            D = math.lcm(*(c.denominator for c in row.values()))
-            layers.append(({key: c.numerator * (D // c.denominator) for key, c in row.items()}, D))
+        for j in range(max(fractions, default=-1) + 1):
+            rows = fractions.get(j, {})
+            D = math.lcm(*(c.denominator for row in rows.values() for c in row.values()))
+            scaled = {m: {s: c.numerator * (D // c.denominator) for s, c in row.items()} for m, row in rows.items()}
+            layers.append((scaled, D))
         self.layers = layers
         self.mu = Fraction(mu)
         mmax, jmax = truncation
@@ -402,15 +412,18 @@ class GradedKernel:
     @classmethod
     def from_layers(
         cls,
-        layers: list[tuple[dict[tuple[int, int], int], int]],
+        layers: list[tuple[dict[int, dict[int, int]], int]],
         mu: RationalLike,
         truncation: tuple[int, int],
         potential: QPoly | None = None,
     ) -> "GradedKernel":
-        """A table given as layers of nonzero integer numerators at valid indices.
+        """A table given as layers of rows of nonzero integer numerators at valid indices.
 
-        The list is taken as it is, neither copied nor checked: for solvers
-        that build it themselves. Every other caller goes through __init__.
+        Each layer must be over its minimal common denominator D_j, with no
+        empty row, as the solver's are: equality compares the layers as they
+        are. The list is taken as it is, neither copied nor checked: for
+        solvers that build it themselves. Every other caller goes through
+        __init__.
         """
         kernel = cls((), mu, truncation, potential)
         kernel.layers = layers
@@ -418,22 +431,32 @@ class GradedKernel:
 
     @property
     def A(self) -> dict[tuple[int, int, int], Rational]:
-        """The table as (m, j, s) -> Fraction, in layer order."""
-        return {(m, j, s): Fraction(n, D) for j, (nums, D) in enumerate(self.layers) for (m, s), n in nums.items()}
+        """The table as (m, j, s) -> Fraction, in layer, row and grade order."""
+        return {
+            (m, j, s): Fraction(n, D)
+            for j, (rows, D) in enumerate(self.layers)
+            for m, row in rows.items()
+            for s, n in row.items()
+        }
 
     def entry(self, m: int, j: int, s: int) -> Rational:
-        nums, D = self.layers[j] if 0 <= j < len(self.layers) else ({}, 1)
-        return Fraction(nums.get((m, s), 0), D)
+        rows, D = self.layers[j] if 0 <= j < len(self.layers) else ({}, 1)
+        return Fraction(rows.get(m, {}).get(s, 0), D)
 
     def items(self) -> Iterator[tuple[tuple[int, int, int], Rational]]:
         return iter(sorted(self.A.items()))
 
     def s_slice(self, s: int) -> dict[tuple[int, int], Rational]:
         """The (m, j) -> coefficient map at a fixed hbar grade."""
-        return {(m, j): c for (m, j, s1), c in self.A.items() if s1 == s}
+        return {
+            (m, j): Fraction(row[s], D)
+            for j, (rows, D) in enumerate(self.layers)
+            for m, row in rows.items()
+            if s in row
+        }
 
     def max_grade(self) -> int:
-        return max((s for nums, _ in self.layers for _, s in nums), default=0)
+        return max((max(row) for rows, _ in self.layers for row in rows.values()), default=0)
 
     def replace_entry(self, m: int, j: int, s: int, coeff: RationalLike) -> "GradedKernel":
         """New table with one entry overridden (used for negative controls); 0 removes it."""
@@ -443,8 +466,8 @@ class GradedKernel:
         """The table at one hbar, by exact collapse; a new KernelCells on each call.
 
         With w = mu / 2 hbar^2 = a / b (hbar the rational the float is),
-        cell (m, j) is sum_s n a^(j-s) b^s over D_j b^j, the layer's
-        entries at that m summed on integers. Cells that cancel are left out.
+        cell (m, j) is sum_s n a^(j-s) b^s over D_j b^j, row m of layer j
+        summed on integers. Cells that cancel are left out.
         """
         w = hbar_weight(self.mu, hbar)
         a, b = w.numerator, w.denominator
@@ -453,24 +476,35 @@ class GradedKernel:
             apow.append(apow[-1] * a)
             bpow.append(bpow[-1] * b)
         layers = []
-        for j, (nums, D) in enumerate(self.layers):
+        for j, (rows, D) in enumerate(self.layers):
             weights = [apow[j - s] * bpow[s] for s in range(max(j, 1))]
-            sums: dict[int, int] = {}
-            for (m, s), n in nums.items():
-                sums[m] = sums.get(m, 0) + n * weights[s]
+            sums = {m: sum(n * weights[s] for s, n in row.items()) for m, row in rows.items()}
             layers.append(({m: n for m, n in sums.items() if n}, D * bpow[j]))
         return KernelCells(layers, self.mu, hbar)
 
+    def _nonempty_layers(self) -> list[tuple[dict[int, dict[int, int]], int]]:
+        """The layers up to the last one that holds an entry."""
+        top = len(self.layers)
+        while top and not self.layers[top - 1][0]:
+            top -= 1
+        return self.layers[:top]
+
     def __eq__(self, other: object) -> bool:
         """Entry-wise equality of the tables (and mass); truncation metadata
-        and the potential tag are not part of value identity."""
+        and the potential tag are not part of value identity.
+
+        Each layer is over its minimal D_j and holds no empty row, so two
+        tables are equal exactly when their layers are, once trailing empty
+        layers (which the solver keeps up to Jmax) are dropped; dict
+        equality ignores the order of rows and grades.
+        """
         if not isinstance(other, GradedKernel):
             return NotImplemented
-        return self.A == other.A and self.mu == other.mu
+        return self.mu == other.mu and self._nonempty_layers() == other._nonempty_layers()
 
     def __repr__(self) -> str:
         mmax, jmax = self.truncation
-        entries = sum(len(nums) for nums, _ in self.layers)
+        entries = sum(len(row) for rows, _ in self.layers for row in rows.values())
         return f"GradedKernel({entries} entries, mu={self.mu}, Mmax={mmax}, Jmax={jmax})"
 
 

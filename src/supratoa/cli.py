@@ -395,9 +395,9 @@ def cmd_weyl_compare(config: RunConfig) -> int:
     weyl_equals_classical = weyl_map == cterm
 
     full = solve_kernel_general(KernelRequest(V=V, mu=config.mu, Jmax=kmax))
-    s_ge_1 = sum(1 for nums, _ in full.layers for _, s in nums if s >= 1)
+    s_ge_1 = sum(1 for rows, _ in full.layers for row in rows.values() for s in row if s >= 1)
     # the Weyl table has s = 0 entries only: an s >= 1 entry already differs
-    difference_nonzero = s_ge_1 > 0 or full.A != weyl.A
+    difference_nonzero = s_ge_1 > 0 or full != weyl
 
     payload = {
         "weyl_equals_classical": weyl_equals_classical,

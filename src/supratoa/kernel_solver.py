@@ -23,7 +23,6 @@ exact cross-checks of the general recurrence.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,13 +90,16 @@ def _push_layers(
     again; the lcm of the m' stays within 30 bits, and the gcd is 1 on
     every layer.) Layers list their keys in ascending order, and each is
     yielded as soon as it is complete, so a caller can stop the loop
-    before the next one is pushed.
+    before the next one is pushed. Only the r_max + 1 latest layers, the
+    ones the moves read, are kept: a caller that stores the layers in
+    another form never holds the whole table twice.
     """
     terms = [(r, delta, c.numerator, c.denominator) for r, delta, c in moves]
-    layers: list[tuple[dict[int, int], int]] = [({stride: 1}, 4)]  # the seed (m, s) = (1, 0)
-    yield layers[0]
+    depth = max((r for r, *_ in terms), default=0) + 1
+    window: list[tuple[dict[int, int], int]] = [({stride: 1}, 4)]  # the seed (m, s) = (1, 0)
+    yield window[0]
     for j in range(1, Jmax + 1):
-        active = [(delta, p, q, layers[j - 1 - r]) for r, delta, p, q in terms if r < j]
+        active = [(delta, p, q, window[-1 - r]) for r, delta, p, q in terms if r < j]
         E = math.lcm(*(D * q for _, _, q, (_, D) in active))
         sums: dict[int, int] = {}
         for delta, p, q, (nums, D) in active:
@@ -111,14 +113,18 @@ def _push_layers(
                 m = k // stride
                 g = math.gcd(t, m)
                 parts[k] = (t // g, m // g)
+        del sums  # each of the layer's three forms is freed once the next is built
         M = math.lcm(*(m for _, m in parts.values()))
         layer = {k: t * (M // m) for k, (t, m) in parts.items()}
+        del parts
         L = 2 * j * E * M
         g = math.gcd(L, *layer.values())
         if g > 1:
             layer = {k: n // g for k, n in layer.items()}
-        layers.append((layer, L // g))
-        yield layers[j]
+        window.append((layer, L // g))
+        if len(window) > depth:
+            del window[0]
+        yield window[-1]
 
 
 def solve_kernel_general(req: KernelRequest) -> GradedKernel:
@@ -129,18 +135,28 @@ def solve_kernel_general(req: KernelRequest) -> GradedKernel:
 
     The table is the layers of _push_layers, with difference term (l, r)
     moving entry (m, s) to (m + l - 2r, s + r) with its coefficient; keys
-    are m (Jmax + 1) + s, read back as (m, s). Nothing is cut: by induction
-    over the difference terms every entry of layer j has m <= D*j + 1 for a
-    degree-D potential, inside the recorded default_mmax truncation.
+    are m (Jmax + 1) + s, and each layer is turned into rows {m: {s: n}}
+    as it is yielded. Nothing is cut: by induction over the difference
+    terms every entry of layer j has m <= D*j + 1 for a degree-D potential,
+    inside the recorded default_mmax truncation.
     """
     stride = req.Jmax + 1
     moves = [(r, (l - 2 * r) * stride + r, c) for l, r, c in _difference_terms(req.V)]
-    layers = [
-        ({divmod(k, stride): n for k, n in nums.items()}, D)
-        for nums, D in _push_layers(moves, req.Jmax, stride)
-    ]
+    layers = [(_rows(nums, stride), D) for nums, D in _push_layers(moves, req.Jmax, stride)]
     mmax = default_mmax(max(req.V.degree, 0), req.Jmax)
     return GradedKernel.from_layers(layers, req.mu, (mmax, req.Jmax), potential=req.V.poly)
+
+
+def _rows(nums: dict[int, int], stride: int) -> dict[int, dict[int, int]]:
+    """Integer keys k = m * stride + s, in ascending order, as rows {m: {s: n}}."""
+    rows: dict[int, dict[int, int]] = {}
+    for k, n in nums.items():
+        m, s = divmod(k, stride)
+        row = rows.get(m)
+        if row is None:
+            rows[m] = row = {}
+        row[s] = n
+    return rows
 
 
 def solve_kernel_at_hbar(req: KernelRequest, hbar: float) -> KernelCells:
@@ -323,53 +339,61 @@ def _residual_monomials(K: GradedKernel, V: Potential) -> Iterator[tuple[int, di
     -(1/w) d2T/dudv + [V((u+v)/2) - V((u-v)/2)] T. Entry (m, j, s) has
     t = m + 2j: its derivative term lands at degree t - 2 and its term
     through difference term (l, r) at degree t + l, so degree d reads only
-    the entries with t = d + 2 or t = d - l. The entries of one layer and
-    one t are a group over one denominator, D_j reduced by one gcd with
-    their numerators when a degree first reads the group; each degree sums
-    on integers over the lcm of its groups' denominators, with one quotient
-    of that lcm per group and term.
+    the entries with t = d + 2 or t = d - l. The entries of one layer j and
+    one t are the single row m = t - 2j of that layer, found through an
+    index of the layers holding a row at each t, and a group over one
+    denominator: D_j reduced by one gcd with the row's numerators when a
+    degree first reads it, and dropped once the degrees have passed its t.
+    Each degree sums on integers over the lcm of its rows' denominators,
+    with one quotient of that lcm per row and term.
     """
-    by_t: dict[int, list[tuple[int, int, list[tuple[int, int, int]]]]] = {}
-    for j, (nums, D) in enumerate(K.layers):
-        groups: dict[int, list[tuple[int, int, int]]] = {}
-        for (m, s), n in nums.items():
-            groups.setdefault(m + 2 * j, []).append((m, s, n))
-        for t, group in groups.items():
-            by_t.setdefault(t, []).append((j, D, group))
-
-    @functools.cache
-    def reduced(t: int) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
-        out = []
-        for j, D, group in by_t.get(t, ()):
-            g = math.gcd(D, *(n for _, _, n in group))
-            out.append((j, D // g, [(m, s, n // g) for m, s, n in group] if g > 1 else group))
-        return out
-
+    layers = K.layers
+    rows_at: dict[int, list[int]] = {}  # t -> the layers j holding row m = t - 2j, ascending
+    for j, (rows, _) in enumerate(layers):
+        for m in rows:
+            rows_at.setdefault(m + 2 * j, []).append(j)
+    if not rows_at:
+        return
     by_l: dict[int, list[tuple[int, int, int]]] = {}
     for l, r, coeff in _difference_terms(V):
         by_l.setdefault(l, []).append((r, coeff.numerator, coeff.denominator))
-    if not by_t:
-        return
-    for d in range(min(by_t) - 2, max(by_t) + max(by_l, default=0) + 1):
-        derivative = [(j, den, group) for j, den, group in reduced(d + 2) if j >= 1]
-        through = [(l, rs, reduced(d - l)) for l, rs in by_l.items()]
+    lmax = max(by_l, default=-2)  # degree d reads t >= d - lmax, and t = d + 2
+
+    reduced: dict[int, list[tuple[int, int, int, dict[int, int]]]] = {}
+
+    def read(t: int) -> list[tuple[int, int, int, dict[int, int]]]:
+        """(j, m, denominator, row) of each row with m + 2j = t, reduced."""
+        if t not in reduced:
+            out = []
+            for j in rows_at.get(t, ()):
+                rows, D = layers[j]
+                row = rows[t - 2 * j]
+                g = math.gcd(D, *row.values())
+                out.append((j, t - 2 * j, D // g, {s: n // g for s, n in row.items()} if g > 1 else row))
+            reduced[t] = out
+        return reduced[t]
+
+    for d in range(min(rows_at) - 2, max(rows_at) + max(lmax, 0) + 1):
+        derivative = [group for group in read(d + 2) if group[0] >= 1]
+        through = [(l, rs, read(d - l)) for l, rs in by_l.items()]
         E = math.lcm(
-            *(den for _, den, _ in derivative),
-            *(den * q for _, rs, groups in through for _, den, _ in groups for _, _, q in rs),
+            *(den for _, _, den, _ in derivative),
+            *(den * q for _, rs, groups in through for _, _, den, _ in groups for _, _, q in rs),
         )
         sums: dict[tuple[int, int, int], int] = {}
-        for j, den, group in derivative:
-            scale = E // den
-            for m, s, n in group:
+        for j, m, den, row in derivative:
+            scale = (2 * j * m) * (E // den)
+            for s, n in row.items():
                 key = (m - 1, 2 * j - 1, j - s - 1)
-                sums[key] = sums.get(key, 0) - n * (2 * j * m) * scale
+                sums[key] = sums.get(key, 0) - n * scale
         for l, rs, groups in through:
-            for j, den, group in groups:
-                scales = [(r, p * (E // (den * q))) for r, p, q in rs]
-                for m, s, n in group:
-                    for r, scale in scales:
-                        key = (m + l - 2 * r - 1, 2 * j + 2 * r + 1, j - s)
+            for j, m, den, row in groups:
+                scales = [(m + l - 2 * r - 1, 2 * j + 2 * r + 1, p * (E // (den * q))) for r, p, q in rs]
+                for s, n in row.items():
+                    for a, b, scale in scales:
+                        key = (a, b, j - s)
                         sums[key] = sums.get(key, 0) + n * scale
+        reduced.pop(d - lmax, None)
         res = {key: Fraction(t, E) for key, t in sums.items() if t}
         if res:
             yield d, res
@@ -405,17 +429,18 @@ def boundary_check(K: GradedKernel) -> BoundaryReport:
     """Verify the boundary data of a kernel table; see BoundaryReport."""
     failures: list[str] = []
 
-    nums0, D0 = K.layers[0] if K.layers else ({}, 1)
-    slice0 = {m: Fraction(n, D0) for (m, _), n in nums0.items()}
+    rows0, D0 = K.layers[0] if K.layers else ({}, 1)
+    slice0 = {m: Fraction(n, D0) for m, row in rows0.items() for n in row.values()}
     if slice0 != {1: Fraction(1, 4)}:
         failures.append("(i) v = 0 slice differs from u/4")
 
-    bad = [
-        (m, j, s)
-        for j, (nums, _) in enumerate(K.layers)
-        for m, s in nums
-        if m < 1 or s < 0 or s > max(j - 1, 0)
-    ]
+    bad = []
+    for j, (rows, _) in enumerate(K.layers):
+        top = max(j - 1, 0)
+        for m, row in rows.items():
+            for s in row:
+                if m < 1 or s < 0 or s > top:
+                    bad.append((m, j, s))
     if bad:
         failures.append(f"(ii) entries outside valid index ranges: {sorted(bad)}")
 

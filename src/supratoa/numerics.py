@@ -184,8 +184,11 @@ def _apply(kernel_func, f, support: tuple[float, float], qs, epsabs: float) -> t
     with the panels [lo, q, hi], so the sgn jump at q' = q is a panel end;
     the points at or outside an end are another, with the one panel
     [lo, hi]. Each row's value and estimate are those of the panels
-    [lo, clip(q), hi], whose empty panel adds 0. Returns the values and the
-    error estimates.
+    [lo, clip(q), hi], whose empty panel adds 0. The rows of that second
+    batch share their nodes, bit for bit, so f gets one node row, shape
+    (1, N), and its values broadcast over the rows of kernel_func's; an f
+    evaluated node by node gives what it would on every row. Returns the
+    values and the error estimates.
     """
     lo, hi = support
     q = np.asarray(qs, dtype=float).reshape(-1, 1)
@@ -196,7 +199,12 @@ def _apply(kernel_func, f, support: tuple[float, float], qs, epsabs: float) -> t
             qr = q[rows]
             cols = [np.full_like(qr, lo), qr, np.full_like(qr, hi)]
             ends = np.hstack(cols if inside[rows[0]] else cols[::2])
-            parts.append((rows, *_integrate(lambda x, i: kernel_func(qr[i], x) * f(qr[i], x), ends, epsabs)))
+            nodes = slice(None) if inside[rows[0]] else slice(1)  # f's node rows
+
+            def g(x, i, qr=qr, nodes=nodes):
+                return np.broadcast_to(kernel_func(qr[i], x) * f(qr[i], x[nodes]), x.shape)
+
+            parts.append((rows, *_integrate(g, ends, epsabs)))
     vals = np.empty(len(q), dtype=np.result_type(*(v for _, v, _ in parts)))
     errs = np.empty(len(q))
     for rows, v, e in parts:

@@ -87,27 +87,28 @@ def kernel_rows(K: GradedKernel) -> Iterator[tuple[int, int, int, str]]:
 
     Each coefficient n / D_j is reduced by one gcd and written as
     format_rational writes its Fraction; one too long to write raises
-    ConfigError naming it. The rows are generated one at a time: each
-    layer's keys are sorted on their own and the layers merged, so a writer
-    holds the sorted keys but never a tuple or a text per entry.
+    ConfigError naming it. The rows are generated one at a time, walking
+    the sorted powers m that hold a row in some layer, then the layers j
+    that hold row m, then the row's sorted grades s: a writer holds the
+    layers of each power and one row's grades, but never a tuple or a text
+    per entry.
     """
-    import heapq  # not at module level: commands that write no table skip it
-
     layers = K.layers
+    rows_at: dict[int, list[int]] = {}  # m -> the layers j holding row m, ascending
+    for j, (rows, _) in enumerate(layers):
+        for m in rows:
+            rows_at.setdefault(m, []).append(j)
     try:
-        for m, j, s in heapq.merge(*(_sorted_keys(j, nums) for j, (nums, _) in enumerate(layers))):
-            nums, D = layers[j]
-            n = nums[m, s]
-            g = math.gcd(n, D)
-            yield m, j, s, f"{n // g}/{D // g}" if D != g else str(n // g)
+        for m in sorted(rows_at):
+            for j in rows_at[m]:
+                rows, D = layers[j]
+                row = rows[m]
+                for s in sorted(row):
+                    n = row[s]
+                    g = math.gcd(n, D)
+                    yield m, j, s, f"{n // g}/{D // g}" if D != g else str(n // g)
     except ValueError:  # from int-to-str conversion only
         raise _too_long(f"kernel entry (m, j, s) = ({m}, {j}, {s})", "'potential', 'x' and 'jmax'") from None
-
-
-def _sorted_keys(j: int, nums: dict[tuple[int, int], int]) -> Iterator[tuple[int, int, int]]:
-    """(m, j, s) of layer j's entries, sorted."""
-    for m, s in sorted(nums):
-        yield m, j, s
 
 
 def kernel_json_chunks(K: GradedKernel) -> Iterator[str]:

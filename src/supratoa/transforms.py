@@ -30,19 +30,20 @@ def wigner_transform(K: GradedKernel) -> MomentumSeries:
     in p by construction (only p^-(2j+1) powers arise) and hbar enters only
     at even powers 2s. Entry n / D_j of layer j with factor F / F' is the
     coefficient n F 2^m / (D_j F'): one Fraction per coefficient, in the
-    table's layer order.
+    table's layer, row and grade order.
     """
     if not K.mu:
         return MomentumSeries()  # every factor is zero
     polys: dict[tuple[int, int], dict[int, Rational]] = {}
-    for j, (nums, D) in enumerate(K.layers):
+    for j, (rows, D) in enumerate(K.layers):
         scale: dict[int, tuple[int, int, dict[int, Rational]]] = {}
-        for (m, s), n in nums.items():
-            if s not in scale:
-                f = _term_factor(K.mu, j, j - s)
-                scale[s] = (f.numerator, D * f.denominator, polys.setdefault((j, s), {}))
-            num, den, row = scale[s]
-            row[m] = Fraction(n * num << m, den)
+        for m, row in rows.items():
+            for s, n in row.items():
+                if s not in scale:
+                    f = _term_factor(K.mu, j, j - s)
+                    scale[s] = (f.numerator, D * f.denominator, polys.setdefault((j, s), {}))
+                num, den, poly = scale[s]
+                poly[m] = Fraction(n * num << m, den)
     return MomentumSeries({key: QPoly.trusted(row) for key, row in polys.items()})
 
 

@@ -223,9 +223,9 @@ class TestGradedKernel:
     def test_table_is_stored_as_layers_only(self):
         K = GradedKernel({(5, 1, 0): F(-2, 9), (1, 0, 0): F(1, 4), (3, 1, 0): F(1, 6), (2, 3, 2): 0}, 1, (5, 1))
         assert GradedKernel.__slots__ == ("layers", "mu", "truncation", "potential")
-        # D_j the lcm of the layer's denominators, keys in the order given
-        assert K.layers == [({(1, 0): 1}, 4), ({(5, 0): -4, (3, 0): 3}, 18)]
-        assert list(K.layers[1][0]) == [(5, 0), (3, 0)]
+        # rows {m: {s: n}}, D_j the lcm of the layer's denominators, keys in the order given
+        assert K.layers == [({1: {0: 1}}, 4), ({5: {0: -4}, 3: {0: 3}}, 18)]
+        assert list(K.layers[1][0]) == [5, 3]
         assert K.A == {(1, 0, 0): F(1, 4), (5, 1, 0): F(-2, 9), (3, 1, 0): F(1, 6)}
         assert (K.entry(3, 1, 0), K.entry(3, 2, 0), K.entry(1, -1, 0)) == (F(1, 6), 0, 0)
         assert not any(hasattr(K, name) for name in ("tvalue", "dense_form", "_cells", "_A"))

@@ -1,6 +1,8 @@
 """Kernel coefficient tables: recurrences, cross-checks, diagnostics."""
 
+import gc
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -266,11 +268,16 @@ class TestLayerReduction:
     @settings(max_examples=40, deadline=None)
     def test_every_layer_of_both_solvers_is_reduced(self, V, mu, jmax, hbar):
         req = KernelRequest(V, mu, jmax)
-        for layers in (solve_kernel_general(req).layers, solve_kernel_at_hbar(req, hbar).layers):
+        graded = solve_kernel_general(req).layers
+        assert all(all(rows.values()) for rows, _ in graded)  # no empty row
+        for layers in (
+            [([n for row in rows.values() for n in row.values()], D) for rows, D in graded],
+            [(list(nums.values()), D) for nums, D in solve_kernel_at_hbar(req, hbar).layers],
+        ):
             assert len(layers) >= 1
-            for nums, D in layers:
-                assert D > 0 and all(nums.values())
-                assert math.gcd(D, *nums.values()) == 1
+            for numerators, D in layers:
+                assert D > 0 and all(numerators)
+                assert math.gcd(D, *numerators) == 1
 
 
 class TestResidual:
@@ -332,11 +339,11 @@ class TestResidualStream:
         # a layer the solver did not reduce: its denominator may share a
         # factor with every numerator
         K = general(V, 1, jmax)
-        j = data.draw(st.sampled_from([j for j, (nums, _) in enumerate(K.layers) if nums]))
-        nums, D = K.layers[j]
-        key = data.draw(st.sampled_from(sorted(nums)))
-        moved = dict(nums)
-        moved[key] += 1 if moved[key] != -1 else -1
+        j = data.draw(st.sampled_from([j for j, (rows, _) in enumerate(K.layers) if rows]))
+        rows, D = K.layers[j]
+        m, s = data.draw(st.sampled_from(sorted((m, s) for m, row in rows.items() for s in row)))
+        moved = {m1: dict(row) for m1, row in rows.items()}
+        moved[m][s] += 1 if moved[m][s] != -1 else -1
         layers = list(K.layers)
         layers[j] = (moved, D)
         self.check(GradedKernel.from_layers(layers, K.mu, K.truncation, K.potential), V)
@@ -391,6 +398,79 @@ class TestLayerOrder:
         assert np.array_equal(checked.cells(0.7).dense_form(), K.cells(0.7).dense_form())
 
 
+class TestTableEquality:
+    """== compares the mass and the layers of rows, with trailing empty
+    layers dropped; it agrees with equality of the Fraction view A."""
+
+    @staticmethod
+    def equal(K1, K2):
+        """K1 == K2, checked against A and mu in both directions."""
+        assert (K1 == K2) == (K2 == K1) == (K1.A == K2.A and K1.mu == K2.mu)
+        assert (K1 != K2) == (not K1 == K2)
+        return K1 == K2
+
+    @given(potentials, masses, st.integers(0, 8), st.randoms(use_true_random=False), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rebuilt_and_perturbed_tables(self, V, mu, jmax, rng, data):
+        K = general(V, mu, jmax)
+        items = list(K.A.items())
+        rng.shuffle(items)
+        shuffled = GradedKernel(dict(items), K.mu, K.truncation, K.potential)
+        assert self.equal(K, shuffled)
+        assert not self.equal(K, GradedKernel(K.A, K.mu + 1, K.truncation))
+        # one entry replaced, removed or added, at an index of the table or a new one
+        m, j, s = data.draw(
+            st.sampled_from(sorted(K.A))
+            | st.tuples(st.integers(1, 12), st.integers(0, jmax + 1), st.integers(0, jmax)).filter(
+                lambda key: key[2] <= max(key[1] - 1, 0)
+            )
+        )
+        c = data.draw(params)
+        assert self.equal(K, K.replace_entry(m, j, s, c)) == (c == K.entry(m, j, s))
+        assert self.equal(shuffled.replace_entry(m, j, s, c), K.replace_entry(m, j, s, c))
+
+    @given(st.integers(1, 12), masses)
+    @settings(max_examples=20, deadline=None)
+    def test_zero_tables_and_trailing_empty_layers(self, jmax, mu):
+        free = general(Potential.free(), mu, jmax)
+        seed = GradedKernel({(1, 0, 0): F(1, 4)}, mu, (1, 0))
+        # the solver keeps its empty layers up to Jmax; __init__ stops at the last entry
+        assert (len(free.layers), len(seed.layers)) == (jmax + 1, 1)
+        assert self.equal(free, seed)
+        zero = GradedKernel({}, mu, (1, 0))
+        assert zero.layers == []
+        assert self.equal(zero, GradedKernel({(3, jmax, jmax - 1): 0}, mu, (3, jmax)))
+        assert self.equal(zero, GradedKernel.from_layers([({}, 1)] * (jmax + 1), mu, (1, jmax)))
+        assert self.equal(zero, free.replace_entry(1, 0, 0, 0))
+        assert not self.equal(zero, free)
+        assert not self.equal(free, seed.replace_entry(2, jmax, 0, 1))
+
+
+class TestTableMemory:
+    """Traced allocations of the J=40 ladder sextic's solve and residual
+    check, measured against the table the solve returns."""
+
+    def test_solve_and_residual_hold_little_beside_the_table(self):
+        V = Potential.from_pairs([(2, F(1, 2)), (3, F(1, 3)), (6, F(1, 7))])
+        solve_kernel_general(KernelRequest(V, 1, 4))  # lazy imports and caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            K = solve_kernel_general(KernelRequest(V, 1, 40))
+            table, solve_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert pde_residual(K, V) == 102
+            residual = tracemalloc.get_traced_memory()[1] - table
+        finally:
+            tracemalloc.stop()
+        # the int-keyed layers and the rows never both hold the whole table:
+        # 1.48 times the table with both, about 1.2 with the rows alone
+        assert solve_peak < 1.35 * table
+        # the residual reads each (j, t) group as one row; a tuple per
+        # entry made it 0.67 times the table, the rows about 0.06
+        assert residual < 0.5 * table
+
+
 class TestBoundary:
     def test_solver_output_passes(self):
         for K in (
@@ -435,7 +515,7 @@ class TestUngradedDebugRoute:
     def test_push_solver_matches_dense_reference(self, V, jmax):
         K = general(V, 1, jmax)
         # each layer is over its minimal common denominator
-        assert all(math.gcd(D, *nums.values()) == 1 for nums, D in K.layers)
+        assert all(math.gcd(D, *(n for row in rows.values() for n in row.values())) == 1 for rows, D in K.layers)
         table = solve_kernel_ungraded(V, 2 * jmax, K.truncation[0])
         rebuilt = {}
         for (m, j, s), c in K.items():

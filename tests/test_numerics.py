@@ -579,6 +579,39 @@ class TestBatchedRule:
         assert vals.tolist() == ref_vals.tolist()
         assert errs.tolist() == ref_errs.tolist()
 
+    @pytest.mark.parametrize("tol", [1e-11, 1e-14])
+    def test_outside_rows_hand_f_one_node_row(self, tol):
+        # rows at or outside supp psi share their nodes: f gets one node row,
+        # the kernel factor every row, and each row is the per-row call's
+        K = solve_kernel_general(KernelRequest(QUARTIC, 1, 8)).cells(0.7)
+        lo, hi = self.PSI.support
+        outside = [q for q in self.QS if not lo < q < hi]
+        calls = []
+
+        def kf(q, qp):
+            return kernel_eval(K, q, qp)
+
+        def f(q, qp):
+            return self.PSI.deriv2(qp) * np.cos(3.0 * q) + self.PSI.value(qp)
+
+        def seen(name, g):
+            def recorded(q, qp):
+                calls.append((name, q.shape, qp.shape))
+                return g(q, qp)
+
+            return recorded
+
+        vals, errs = _apply(seen("kernel", kf), seen("f", f), self.PSI.support, outside, tol)
+        kernel_calls, f_calls = calls[::2], calls[1::2]
+        assert {name for name, _, _ in kernel_calls} == {"kernel"} and {name for name, _, _ in f_calls} == {"f"}
+        for (_, rows, nodes), (_, f_rows, f_nodes) in zip(kernel_calls, f_calls):
+            assert f_rows == rows == (nodes[0], 1)
+            assert f_nodes == (1, nodes[1])
+        assert max(rows[0] for _, rows, _ in kernel_calls) == len(outside)
+        ref_vals, ref_errs, _ = per_row_apply(kf, f, self.PSI.support, outside, tol)
+        assert vals.tolist() == ref_vals
+        assert errs.tolist() == ref_errs
+
     def test_callable_kernel_gets_a_column_of_points(self):
         shapes = []
 

@@ -142,6 +142,11 @@ class TestKernelWriter:
         assert rows == [(m, j, s, format_rational(c)) for (m, j, s), c in sorted(K.A.items())]
         assert self.check(shuffled, tmp_path) == kernel_to_json(K)
 
+    def test_rows_walk_only_the_powers_held(self):
+        # a built table may hold one huge power of u
+        K = GradedKernel({(10**15, 3, 2): F(-2, 3), (1, 0, 0): F(1, 4), (10**15, 1, 0): 5}, 1, (10**15, 3))
+        assert list(kernel_rows(K)) == [(1, 0, 0, "1/4"), (10**15, 1, 0, "5"), (10**15, 3, 2, "-2/3")]
+
     def test_rows_hold_no_tuple_per_entry(self):
         K = solve_kernel_general(KernelRequest(SEXTIC, 1, 40))
         K.layers  # built by the solver; read here so only the rows are traced
