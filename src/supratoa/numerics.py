@@ -257,9 +257,10 @@ def commutator_residual(
     derivative. The commutator is then one nested integral over
     supp(phi) x supp(psi) of
     <q|T|q'> [conj(H phi)(q) psi(q') - conj(phi)(q) (H psi)(q')].
-    Every integral is the one rule of _integrate: the inner one over q' on
-    supp(psi) split at q' = q, for all the nodes of an outer level as one
-    batch of rows (_apply), the outer one over supp(phi)
+    Every integral is the one rule of _integrate, the nested chain G64 in
+    K129 in P259 in P519: the inner one over q' on supp(psi) split at
+    q' = q, for the outer nodes each outer level adds as one batch of rows
+    (_apply), the outer one over supp(phi)
     split at the ends of supp(psi) inside it, where the outer integrand
     inherits the flat, non-analytic edge of psi, and the overlap and the
     norms on one panel each. The nested integral runs on the real factor f

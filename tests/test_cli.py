@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -70,7 +71,7 @@ def digest(text):
 
 # V is evaluated once per array of critical points, so a toa job or a small
 # toa grid makes a few hundred polynomial evaluations, mostly on the arrays of
-# the Gauss-Legendre rule's nodes.
+# the quadrature rule's nodes.
 MAX_POLY_CALLS = 1000
 
 
@@ -1021,3 +1022,63 @@ class TestBenchmarkHooks:
         finally:
             tracer.uninstall()
         assert all(getattr(owner, attr) is original for (owner, attr), original in zip(hooks, originals))
+
+
+class TestExitCodeContract:
+    """A derandomized fuzz of main over the six subcommands, on edge values.
+
+    Each case sets one to three keys of a subcommand's sample config. Exit 1
+    must come with a 'config error:' line, exit 2 with a 'verification
+    failure:' line or a report, and no case may reach the generic 'error:'
+    line of an unexpected exception.
+    """
+
+    CASES = 400
+    HUGE = "7" * 400 + "/3"
+    TINY = "3/" + "7" * 400
+    REALS = ["0", "1e-300", "-1e-300", "1e300", "-1e300", "nan", "inf", "-inf", "1e16", "1e-320", HUGE, "-" + HUGE,
+             TINY, "-" + TINY, "1/3", "-2", "1/2", "1", "0.3", "-0.7"]
+    INTS = ["0", "1", "2", "5", "12", "-1", "1e300", "nan"]
+    POTENTIALS = ["free", "2:1e300", "2:-1e300 4:1", "4:" + HUGE, "2:" + TINY, "1:1", "3:-1/2", "2:1/2 6:1/7",
+                  "4:-1", "2:1e-320"]
+    # the grid sample's 50-point axes, cut so that a toa grid stays small
+    SMALL_GRID = {"nq": "4", "nqp": "4", "np": "4"}
+
+    def pool(self, key):
+        if key == "potential":
+            return self.POTENTIALS
+        if key == "grid_kind":
+            return ["kernel", "toa", "nan"]
+        if key in ("jmax", "kmax", "nq", "nqp", "np"):
+            return self.INTS
+        return self.REALS
+
+    def config(self, command, overrides):
+        values = {**(self.SMALL_GRID if command == "grid" else {}), **overrides}
+        lines = [line for line in cli._SAMPLES[command].splitlines()
+                 if line.partition("=")[0].strip() not in values]
+        return "\n".join(lines + [f"{key} = {value}" for key, value in values.items()]) + "\n"
+
+    def test_every_exit_code_names_its_cause(self, tmp_path):
+        rng = random.Random("exit codes")
+        conf, out = tmp_path / "fuzz.conf", tmp_path / "fuzz.out"
+        codes = []
+        for case in range(self.CASES):
+            command = COMMANDS[case % len(COMMANDS)]
+            keys = sorted(cli._COMMANDS[command][2] - {"format", "out"})
+            overrides = {key: rng.choice(self.pool(key)) for key in rng.sample(keys, rng.randint(1, 3))}
+            conf.write_text(self.config(command, overrides))
+            out.unlink(missing_ok=True)
+            code, _, err = invoke([command, "--config", str(conf), "--out", str(out)])
+            where = (command, overrides, code, err)
+            assert not err.startswith("error:"), where
+            if code == 1:
+                assert err.startswith("config error: ") and not out.exists(), where
+            elif code == 2:
+                assert err.startswith("verification failure: ") or (not err and out.exists()), where
+            else:
+                assert code == 0 and out.exists(), where
+            codes.append((command, code))
+        # each subcommand both runs and refuses, and verification failures are common
+        assert all((command, 0) in codes and (command, 1) in codes for command in COMMANDS)
+        assert sum(code == 2 for _, code in codes) >= 20

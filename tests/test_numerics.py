@@ -662,27 +662,29 @@ class TestWorkCounters:
         )
         assert report.residual < 1e-9
         # one array per level and slice of outer rows, at most _NODE_CAP
-        # node values each; a call per outer node would make 1,049, and a
-        # cap of 4096 made 34
-        assert len(sizes) == 18
+        # node values each; a call per outer node would make 1,049, a cap of
+        # 4096 made 34, and Gauss-Kronrod levels of 129 and 257 fresh nodes
+        # per panel 18
+        assert len(sizes) == 14
         assert max(sizes) <= _NODE_CAP
-        # one Gauss-Kronrod evaluation per level (the n and 2n Gauss sums of
-        # each level took 216,064)
-        assert sum(sizes) == 119_827
+        # 129 node values per panel for the 258 inner rows, then only the 130
+        # that P259 adds for the 176 that go on (the Gauss-Kronrod levels
+        # took 119,827, and the n and 2n Gauss sums of each level 216,064)
+        assert sum(sizes) == 85_283
 
     def test_free_commutator_respects_the_node_cap(self, sizes):
         commutator_residual(
             Potential.free(), FREE_KERNEL, TestCommutator.PHI, TestCommutator.PSI, 1.0, 1.0, QuadSpec(1e-10)
         )
         assert max(sizes) <= _NODE_CAP
-        assert len(sizes) == 55  # 111 at a cap of 4096
-        # the outer rule closes at its second level, 129 + 257 points per
-        # panel; of those 772 inner rows, 615 take a second level and none a
-        # third, at 129 and then 257 node values per panel. No node on the
-        # empty panel of an outer point at or outside supp psi, where the
-        # panels [lo, clip(q), hi] make 515,286. (The n and 2n Gauss sums of
-        # each level, 64 + 128 + 256 nodes per panel over two levels, took 542,976.)
-        assert sum(sizes) == 395_331
+        assert len(sizes) == 28  # 111 at a cap of 4096, 55 on the Gauss-Kronrod levels
+        # the outer rule closes at its second level, 129 + 130 points per
+        # panel; of those 518 inner rows, 412 take a second level and none a
+        # third, at 129 and then 130 node values per panel. No node on the
+        # empty panel of an outer point at or outside supp psi. (Gauss-Kronrod
+        # levels of 129 and 257 fresh nodes per panel took 395,331, for 772
+        # inner rows; the n and 2n Gauss sums of each level 542,976.)
+        assert sum(sizes) == 183_563
 
     def test_factor_off_one_closes_rows_at_the_same_levels(self, sizes):
         # at mu / hbar = 2 / 0.7 the rule integrates the real factor at the
@@ -694,8 +696,8 @@ class TestWorkCounters:
         )
         assert report.residual < 1e-9
         assert report.residual <= report.error_budget
-        assert len(sizes) == 18
-        assert sum(sizes) == 117_000
+        assert len(sizes) == 13  # 18 on the Gauss-Kronrod levels
+        assert sum(sizes) == 83_853  # 117,000 on the Gauss-Kronrod levels
 
 
 ONE_RULE_SCRIPT = """
@@ -704,22 +706,19 @@ from fractions import Fraction as F
 from supratoa.classical_toa import PhasePoint, Potential, toa_quadrature
 from supratoa.kernel_solver import solve_kernel_harmonic
 from supratoa.numerics import BumpProfile, QuadSpec, commutator_residual, kernel_integral_form
-from supratoa.quadrature import _gauss_kronrod, _gauss_legendre
 V = Potential.from_pairs([(2, F(1, 2))])
 phi, psi = BumpProfile(0.0, 0.5), BumpProfile(0.1, 0.5)
 commutator_residual(V, solve_kernel_harmonic(1, 4), phi, psi, 1.0, 1.0, QuadSpec(1e-8))
 kernel_integral_form(V, 1.0, 1.0, 0.3, 0.1, QuadSpec(1e-12))
 toa_quadrature(V, PhasePoint(0.2, 1.0))
-_gauss_legendre(512)
-_gauss_kronrod(256)
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
 
 
 def test_numerics_integrates_without_scipy_integrate():
-    # no scipy module at all, after the commutator, the integral form, an
-    # arrival time and the largest rule; a fresh interpreter, since this test
-    # module imports scipy.integrate itself
+    # no scipy module at all, after the commutator, the integral form and an
+    # arrival time; a fresh interpreter, since this test module imports
+    # scipy.integrate itself
     src = str(Path(supratoa.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
