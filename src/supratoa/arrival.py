@@ -45,18 +45,22 @@ def _taylor(terms: tuple[tuple[int, float], ...], b: float) -> list[tuple[int, f
     return out
 
 
-def _width(terms: tuple[tuple[int, float], ...], b: float, gap: float) -> float:
-    """The distance from b over which V can change by gap.
+def _width(taylor: list[tuple[int, float]], gap: float) -> float:
+    """The distance from b over which V can change by gap, from taylor = _taylor(terms, b).
 
     min over k >= 1 of (gap / |a_k|)^(1/k), a_k = V^(k)(b) / k!:
     gap / |V'(b)| and sqrt(2 gap / |V''(b)|) and their higher-order kin.
     Within it no term of V(b + s) - V(b) exceeds gap, so 1/sqrt(H - V)
     has no singularity closer to b than this width over the degree of V.
     inf for a constant V, 0 where a coefficient left the float range.
+    A zero coefficient is dropped and the others enter by |a_k|, so the
+    coefficients at b = -0.0 serve for b = 0.0: they differ at most in the
+    sign of a zero.
     """
     gap = max(gap, 0.0)  # an exact gap can fall to 0 where the float one cleared the margin
-    taylor = [(k, abs(a)) for k, a in _taylor(terms, b) if a]
-    return min(((gap / a) ** (1.0 / k) if math.isfinite(a) else 0.0 for k, a in taylor), default=math.inf)
+    return min(
+        ((gap / abs(a)) ** (1.0 / k) if math.isfinite(a) else 0.0 for k, a in taylor if a), default=math.inf
+    )
 
 
 def _graded_ends(breaks: list[float], widths: list[float], x: float, q: float) -> list[float]:
@@ -82,16 +86,22 @@ def _graded_ends(breaks: list[float], widths: list[float], x: float, q: float) -
     return sorted(ends, reverse=q < x)
 
 
-def _prepare(V: Potential, pt: PhasePoint):
+def _prepare(V: Potential, pt: PhasePoint, taylors: dict[float, list[tuple[int, float]]]):
     """A phase point's checks and panels, in toa_quadrature's order.
 
     ZeroMomentum at p^2 = 0; None when q == x, whose arrival time is 0;
     QuadratureFailure when V at the candidates (classical_toa._critical_values)
     or H is beyond the float range; NotAccessible when H - V is at most the
-    access margin at a candidate. Otherwise (energy, ends, careful): the
-    graded panel ends from x to q (_graded_ends), and careful the arguments
-    of the integrand's exact gaps near the breakpoints where the float gap
-    would lose its digits, or None where there are none.
+    access margin at a candidate, the first lowest one named, as argmin
+    picks it. Otherwise (energy, ends, careful): the graded panel ends from
+    x to q (_graded_ends), and careful the arguments of the integrand's
+    exact gaps near the breakpoints where the float gap would lose its
+    digits, or None where there are none. The checks run on Python floats.
+
+    taylors maps a breakpoint b to V's Taylor coefficients there,
+    _taylor(terms, b), and takes in those this row computes: the rows of
+    one arrival_times call share x, V's critical points and, along a toa
+    grid's p axis, q, so most of their breakpoints are already in it.
 
     A float H - V(t) carries an error of order eps times |H| plus the sum
     of |V|'s terms, so where a gap falls below _CAREFUL_GAP of that size,
@@ -112,12 +122,12 @@ def _prepare(V: Potential, pt: PhasePoint):
     energy = _finite("H = p^2/(2 mu) + V(q)", pt.energy, V)
 
     margin = _ACCESS_MARGIN * max(1.0, abs(energy))
-    gaps = energy - values
-    k = int(gaps.argmin())
+    gaps = [energy - v for v in values]
+    k = gaps.index(min(gaps))  # the first lowest, as argmin
     if gaps[k] <= margin:
         raise NotAccessible(f"H - V = {gaps[k]:.3g} <= {margin:.3g} at q' = {points[k]:.6g}")
 
-    gap_at = dict(zip(points.tolist(), gaps.tolist()))
+    gap_at = dict(zip(points, gaps))
     breaks = sorted(gap_at)
     gaps = [gap_at[b] for b in breaks]
     terms = V.poly._floats()
@@ -130,9 +140,17 @@ def _prepare(V: Potential, pt: PhasePoint):
                 exact = Fraction(pt.p) ** 2 / (2 * Fraction(pt.mu)) + V.value(Fraction(pt.q))
             shifted = poly_shift(V.poly, Fraction(b))
             local[j] = Potential(QPoly.trusted({d: c for d, c in shifted.coeffs.items() if d}))
-            _finite(f"V's expansion at q' = {b:.6g}", local[j].poly._floats)
+            try:
+                local[j].poly._floats()  # each coefficient's quotient rounds, or raises
+            except OverflowError:
+                raise QuadratureFailure(f"V's expansion at q' = {b:.6g} is beyond the float range") from None
             gaps[j] = _finite(f"H - V at q' = {b:.6g}", float, exact - shifted.coeff(0))
-    widths = [_width(terms, b, g) for b, g in zip(breaks, gaps)]
+    widths = []
+    for b, gap in zip(breaks, gaps):
+        taylor = taylors.get(b)
+        if taylor is None:
+            taylor = taylors[b] = _taylor(terms, b)
+        widths.append(_width(taylor, gap))
     ends = _graded_ends(breaks, widths, x, q)
     careful = None
     if local:
@@ -172,7 +190,9 @@ def arrival_times(V: Potential, pts: list[PhasePoint], tol: float) -> list:
 
     Each point gets the float a toa_quadrature(V, pt, tol) call returns,
     or the SupratoaError it raises, of the same class and with the same
-    message. Each runs toa_quadrature's checks (_prepare); the rows
+    message. Each runs toa_quadrature's checks (_prepare), and the rows
+    share one table of V's Taylor coefficients, computed once per distinct
+    breakpoint (x, V's critical points, each q) for the call; the rows
     without exact gaps are then integrated in batches, one per number of
     panel ends, through _integrate's batch form, which gives each row the
     value and estimate a call on that row alone gives; a row with exact
@@ -186,9 +206,10 @@ def arrival_times(V: Potential, pts: list[PhasePoint], tol: float) -> list:
     results: list = [None] * len(pts)
     batches: dict[int, list] = {}  # number of panel ends -> rows
     singles = []
+    taylors: dict[float, list] = {}  # breakpoint -> V's Taylor coefficients there, for every row
     for index, pt in enumerate(pts):
         try:
-            row = _prepare(V, pt)
+            row = _prepare(V, pt, taylors)
         except SupratoaError as exc:
             results[index] = exc
             continue

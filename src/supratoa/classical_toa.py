@@ -29,16 +29,18 @@ if TYPE_CHECKING:
 _ACCESS_MARGIN = 1e-12
 
 
-def _finite(name: str, f, *args):
-    """f(*args), or QuadratureFailure naming the quantity when it overflows."""
-    import numpy as np
+def _finite(name: str, f, *args) -> float:
+    """f(*args), a float, or QuadratureFailure naming the quantity when it leaves the float range.
 
+    A scalar check without numpy: Python raises OverflowError where an int
+    quotient or a float power overflows, and a product or a sum that
+    overflows gives inf or NaN.
+    """
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = f(*args)
-    except (OverflowError, np.linalg.LinAlgError):  # LinAlgError: inf in np.roots' companion matrix
+        value = f(*args)
+    except OverflowError:
         value = math.inf
-    if not np.isfinite(value).all():
+    if not math.isfinite(value):
         raise QuadratureFailure(f"{name} is beyond the float range")
     return value
 
@@ -91,7 +93,14 @@ class Potential:
         dense = np.zeros(top + 1)
         for d, c in vp.coeffs.items():
             dense[top - d] = _finite(f"V' coefficient of q^{d}", operator.truediv, c.numerator, c.denominator)
-        return _finite("a ratio of V' coefficients", np.roots, dense).real
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                roots = np.roots(dense)
+        except np.linalg.LinAlgError:  # inf in np.roots' companion matrix
+            roots = None
+        if roots is None or not np.isfinite(roots).all():
+            raise QuadratureFailure("a ratio of V' coefficients is beyond the float range")
+        return roots.real
 
 
 @dataclass(frozen=True)
@@ -278,17 +287,25 @@ def _interval(a: float, b: float) -> tuple[float, float]:
     return (a, b) if a <= b else (b, a)
 
 
-def _critical_values(V: Potential, x: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+def _critical_values(V: Potential, x: float, q: float) -> tuple[list[float], list[float]]:
     """The points x, q and V's critical points clipped to [x, q], and V there.
 
-    The extrema of V on the interval lie among these points. Raises
-    QuadratureFailure when V is beyond the float range at one of them.
+    The extrema of V on the interval lie among these points. Each point is
+    clipped as np.clip clips, keeping a point that ties with an end, signed
+    zeros included, and V is evaluated at each on QPoly's float branch:
+    the terms c * x**d summed in order, the libm pow that np.float_power
+    calls on an array. The lists equal, float for float, what the array
+    evaluation of the clipped array gives. Raises QuadratureFailure when V
+    is beyond the float range at one of them.
     """
-    import numpy as np
-
     lo, hi = _interval(x, q)
-    points = np.concatenate(([x, q], np.clip(V.critical_points, lo, hi)))
-    values = _finite(f"V on [{lo:.6g}, {hi:.6g}]", V.value, points)
+    points = [x, q, *(min(max(c, lo), hi) for c in V.critical_points.tolist())]
+    try:
+        values = [V.value(c) for c in points]
+    except OverflowError:  # a power beyond the float range
+        values = [math.inf]
+    if not all(map(math.isfinite, values)):
+        raise QuadratureFailure(f"V on [{lo:.6g}, {hi:.6g}] is beyond the float range")
     return points, values
 
 
@@ -323,10 +340,8 @@ def convergence_margin(V: Potential, mu: float, q: float, x: float, p: float) ->
     """
     if p * p == 0:
         raise ZeroMomentum(f"convergence ratio undefined at p^2 = 0 (p = {p!r})")
-    import numpy as np
-
     _, values = _critical_values(V, float(x), float(q))
-    m_q = float(np.max(np.abs(values[1] - values)))
+    m_q = max(abs(values[1] - v) for v in values)
     ratio = float(mu) * m_q / (p * p)
     return ratio, ratio < 0.5
 

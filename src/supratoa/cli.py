@@ -125,13 +125,26 @@ def _to_rational(key: str, raw: str) -> Fraction:
 
 
 def _to_float(key: str, raw: str) -> float:
+    """The float of a decimal or an "a/b" value; ConfigError when it is not a finite number.
+
+    float(raw) rounds a decimal correctly, so it equals float(Fraction(raw)),
+    without Fraction's parse. The exact parse reads what float() refuses
+    ("a/b") and a negative zero, whose sign the exact value decides: "-0"
+    reads as 0.0, and a negative decimal that underflows as -0.0. A
+    rational beyond the float range reads as inf, like a decimal beyond it.
+    """
     try:
-        value = float(parse_rational(raw))
-    except (ValueError, OverflowError):  # a decimal beyond the float range reads as inf below
+        value = float(raw)
+    except ValueError:
+        value = None
+    if value is None or (not value and math.copysign(1.0, value) < 0):
         try:
-            value = float(raw)
+            value = float(parse_rational(raw))
+        except OverflowError:
+            value = math.inf
         except ValueError as exc:
-            raise ConfigError(f"key {key!r}: not a number: {raw!r}") from exc
+            if value is None:
+                raise ConfigError(f"key {key!r}: not a number: {raw!r}") from exc
     if not math.isfinite(value):
         raise ConfigError(f"key {key!r}: not a finite number: {raw!r}")
     return value
@@ -220,11 +233,21 @@ def _validate(config: RunConfig) -> None:
 
 
 def load_config(path: str, command: str) -> RunConfig:
+    """Read the config file as UTF-8 and parse it; ConfigError names a file that cannot be read or decoded.
+
+    The bytes are decoded once, without text mode's newline translation:
+    str.splitlines splits at CR LF and at a lone CR as it would split at
+    the LF that translation leaves in their place.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     return parse_config_text(text, command)
 
 

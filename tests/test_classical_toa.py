@@ -501,6 +501,85 @@ class TestArrayScans:
         assert str(exc.value) == "H - V = -2.5 <= 1e-12 at q' = 3"
 
 
+def array_critical_values(V, x, q):
+    """The candidates and V there as an array evaluation gives them: np.clip, then V on the array."""
+    lo, hi = _interval(x, q)
+    points = np.concatenate(([x, q], np.clip(V.critical_points, lo, hi)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return points, V.value(points)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+# interval ends: signed zeros, V's critical points below, tiny and huge values
+candidate_ends = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -3.0, 1e-300, -1e-300, 1e200, -1e200]),
+    st.floats(min_value=-4, max_value=4),
+)
+
+
+class TestScalarCandidates:
+    """The candidate check on Python floats against the array evaluation, bit for bit."""
+
+    @given(
+        st.dictionaries(st.integers(min_value=0, max_value=6), nonzero_params, max_size=4),
+        candidate_ends,
+        candidate_ends,
+        st.sampled_from([1e-9, 0.3, 2.0]),
+    )
+    @example({2: F(1, 2), 4: F(1, 3)}, 0.0, 1.0, 0.3)  # V' = q + 4/3 q^3: a root at +-0.0 on an end
+    @example({2: F(1, 2), 4: F(1, 3)}, -0.0, -1.0, 0.3)
+    @example({2: F(-1), 4: F(1, 4)}, -0.0, 2.0, 1e-9)  # H - V ties at x and at q
+    @example({2: F(1, 2), 4: F(-1, 4)}, 0.5, 0.9, 0.3)  # every critical point clipped to an end
+    @example({3: F(1), 1: F(-3)}, 1.0, -1.0, 2.0)  # critical points on both ends
+    @example({2: F(1)}, -2.0, 2.0, 1e-9)  # an even V: the lowest gap at x and at q
+    @example({6: F(1, 7)}, 1e200, 0.0, 0.3)  # V beyond the float range
+    @settings(max_examples=150, deadline=None)
+    def test_equals_array_evaluation(self, coeffs, a, b, p):
+        V = Potential.from_pairs(coeffs.items())
+        for x, q in ((a, b), (b, a)):
+            points, values = array_critical_values(V, x, q)
+            if not np.isfinite(values).all():
+                lo, hi = _interval(x, q)
+                with pytest.raises(QuadratureFailure) as exc:
+                    classical_toa._critical_values(V, x, q)
+                assert str(exc.value) == f"V on [{lo:.6g}, {hi:.6g}] is beyond the float range"
+                continue
+            got_points, got_values = classical_toa._critical_values(V, x, q)
+            assert hexes(got_points) == hexes(points)  # the sign of a clipped zero too
+            assert hexes(got_values) == hexes(values)
+            ratio = float(np.max(np.abs(values[1] - values))) / (p * p)
+            assert convergence_margin(V, 1.0, q, x, p)[0].hex() == ratio.hex()
+            # the point NotAccessible names is argmin's, the first lowest gap
+            energy = PhasePoint(q, p).energy(V)
+            gaps = energy - values
+            k = int(gaps.argmin())
+            margin = _ACCESS_MARGIN * max(1.0, abs(energy))
+            if q != x and math.isfinite(energy) and gaps[k] <= margin:
+                with pytest.raises(NotAccessible) as exc:
+                    toa_quadrature(V, PhasePoint(q, p, x=x))
+                assert str(exc.value) == f"H - V = {gaps[k]:.3g} <= {margin:.3g} at q' = {points[k]:.6g}"
+
+    @given(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=6),
+            st.one_of(nonzero_params, st.sampled_from([F(-1, 10**400), F(1, 10**400)])),
+            max_size=5,
+        ),
+        st.floats(min_value=0, max_value=10),
+    )
+    @example({2: F(1, 2), 1: F(-1, 10**400)}, 1.0)  # a coefficient that rounds to -0.0
+    @settings(max_examples=80, deadline=None)
+    def test_signed_zero_breakpoints_share_taylor_coefficients(self, coeffs, gap):
+        # a toa grid keys its Taylor table by breakpoint, where 0.0 == -0.0
+        terms = Potential.from_pairs(coeffs.items()).poly._floats()
+        at_plus, at_minus = arrival._taylor(terms, 0.0), arrival._taylor(terms, -0.0)
+        assert [(k, abs(a)) for k, a in at_plus if a] == [(k, abs(a)) for k, a in at_minus if a]
+        assert arrival._width(at_plus, gap).hex() == arrival._width(at_minus, gap).hex()
+
+
 def mp_arrival_time(V, q, x, p, mu=1.0):
     """-sgn(p) sqrt(mu/2) integral_x^q dq'/sqrt(H - V) at 30 digits, H from the float q and p.
 
@@ -657,6 +736,24 @@ class TestArrivalTimesInBatches:
         assert 1 in batches and max(batches) > 4  # exact-gap rows alone, the others together
         if tol > 1e-16:
             assert len(batches) < sum(1 for pt in pts if pt.q != pt.x) / 4
+
+    def test_grid_computes_taylor_coefficients_once_per_breakpoint(self, monkeypatch):
+        # a 6x6 grid: its rows share x and V's critical points, and a p column
+        # shares each q; rows below the barrier (NotAccessible) compute none
+        qs = np.linspace(-1.9, 1.7, 6).tolist()
+        ps = np.linspace(-3.0, 3.0, 6).tolist()
+        pts = [PhasePoint(q, p, x=0.3) for q in qs for p in ps]
+        expected = one_row_results(BARRIER_V, pts, 1e-10)
+        seen = []
+        taylor = arrival._taylor
+        monkeypatch.setattr(arrival, "_taylor", lambda terms, b: seen.append(b) or taylor(terms, b))
+        got = arrival.arrival_times(BARRIER_V, pts, 1e-10)
+        assert [r.hex() if isinstance(r, float) else (type(r), str(r)) for r in got] == expected
+        assert sum(isinstance(r, str) for r in expected) >= 24
+        assert any(not isinstance(r, str) for r in expected)
+        assert len(seen) == len(set(seen))  # once per distinct breakpoint
+        critical = [c for c in BARRIER_V.critical_points.tolist() if -1.9 <= c <= 1.7]
+        assert set(seen) <= {0.3, *qs, *critical}
 
     @pytest.mark.parametrize(
         "pairs, bad",

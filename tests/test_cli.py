@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import supratoa
 from supratoa import algebra, cli, kernel_solver
@@ -69,9 +71,9 @@ def digest(text):
     return hashlib.blake2b(text.encode(), digest_size=32).hexdigest()
 
 
-# V is evaluated once per array of critical points, so a toa job or a small
-# toa grid makes a few hundred polynomial evaluations, mostly on the arrays of
-# the quadrature rule's nodes.
+# V is evaluated once per candidate point of a phase point's checks and once
+# per array of the quadrature rule's nodes, so a toa job or a small toa grid
+# makes a few hundred polynomial evaluations.
 MAX_POLY_CALLS = 1000
 
 
@@ -279,6 +281,29 @@ class TestConfigErrors:
         assert code == 1
         assert err
 
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_bytes(b"potential = 2:1/2\nq = 0.5\xff\n")
+        code, out, err = invoke(["toa", "--config", str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"config error: config {str(path)!r} is not UTF-8: invalid start byte at byte 25\n"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_line_endings_parse_like_lf(self, tmp_path, cmd, newline):
+        _, text, _ = invoke([cmd, "--seed-config"])
+        other = tmp_path / "other.conf"
+        other.write_bytes(text.replace("\n", newline).encode())
+        assert cli.load_config(str(other), cmd) == cli.load_config(write_config(tmp_path, text), cmd)
+        # a bad line is counted the same way
+        bad = text + "\nno equals sign\n"
+        other.write_bytes(bad.replace("\n", newline).encode())
+        with pytest.raises(supratoa.ConfigError) as got:
+            cli.load_config(str(other), cmd)
+        with pytest.raises(supratoa.ConfigError) as expected:
+            cli.load_config(write_config(tmp_path, bad), cmd)
+        assert str(got.value) == str(expected.value) and "expected 'key = value'" in str(got.value)
+
     def test_removed_series_tol_key_is_unknown(self, tmp_path):
         path = write_config(tmp_path, "potential = free\nseries_tol = 1e-12\n")
         code, _, err = invoke(["kernel", "--config", path])
@@ -337,6 +362,7 @@ class TestConfigErrors:
             ("grid", "grid_kind = toa\npotential = 2:1/2\npmin = nan\n", "pmin", "not a finite number"),
             ("commutator", "potential = 2:1/2\nhbar = inf\n", "hbar", "not a finite number"),
             ("toa", "potential = 2:1/2\np = -1e400\n", "p", "not a finite number"),
+            ("toa", "potential = 2:1/2\nq = 1" + "0" * 400 + "/3\n", "q", "not a finite number"),
             # exact keys whose float the float commands cannot take
             ("toa", "potential = 2:1/2\nmu = 1e400\n", "mu", INFINITE),
             ("toa", "potential = 2:1/2\nx = 1e400\n", "x", INFINITE),
@@ -350,7 +376,7 @@ class TestConfigErrors:
             ("toa", "potential = 2:1/2\nx = 1e-400\n", "x", ZERO),
         ],
         ids=[
-            "toa-q-nan", "grid-pmin-nan", "commutator-hbar-inf", "toa-p-overflow",
+            "toa-q-nan", "grid-pmin-nan", "commutator-hbar-inf", "toa-p-overflow", "toa-q-rational-overflow",
             "toa-mu-overflow", "toa-x-overflow", "commutator-mu-overflow", "toa-grid-mu-overflow",
             "toa-grid-x-overflow", "kernel-grid-mu-overflow", "toa-mu-underflow", "commutator-mu-underflow",
             "toa-grid-mu-underflow", "toa-x-underflow",
@@ -399,6 +425,52 @@ class TestConfigErrors:
         assert code == 1
         assert not out
         assert f"{cmd} writes" in err and repr(fmt) in err
+
+
+def exact_float(raw):
+    """The float of the exact rational raw, inf beyond the float range."""
+    try:
+        return float(F(raw))
+    except OverflowError:
+        return math.inf
+
+
+class TestFloatKeys:
+    """A float key reads a decimal with float(), equal float for float to the exact parse."""
+
+    decimals = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.from_regex(r"[-+]?[0-9]{1,60}(\.[0-9]{0,60})?([eE][-+]?[0-9]{1,4})?", fullmatch=True),
+        st.from_regex(r"[-+]?\.[0-9]{1,60}([eE][-+]?[0-9]{1,4})?", fullmatch=True),
+    )
+
+    @given(decimals)
+    @example("-0")  # the exact zero reads as 0.0, not -0.0
+    @example("-0.000e7")
+    @example("-1e-999")  # a negative decimal that underflows reads as -0.0
+    @example("2.4703282292062328e-324")  # a tie below the least subnormal
+    @example("1.7976931348623158e308")  # rounds to the largest float
+    @example("1.7976931348623159e308")  # rounds beyond it
+    @example("1e999")
+    @example("0." + "0" * 400 + "1")
+    @settings(max_examples=300, deadline=None)
+    def test_decimal_equals_exact_parse(self, raw):
+        expected = exact_float(raw)
+        if math.isfinite(expected):
+            assert cli._to_float("q", raw).hex() == expected.hex()
+        else:
+            with pytest.raises(supratoa.ConfigError, match="not a finite number"):
+                cli._to_float("q", raw)
+
+    @pytest.mark.parametrize("raw", ["1/3", "-7/2", "0/5", "-0/5", "3/" + "7" * 400, "-3/" + "7" * 400])
+    def test_rational_equals_exact_parse(self, raw):
+        assert cli._to_float("q", raw).hex() == exact_float(raw).hex()
+
+    @pytest.mark.parametrize("raw", ["1/0", "nope", "1/2/3", "0x10", "1__0"])
+    def test_not_a_number(self, raw):
+        with pytest.raises(supratoa.ConfigError) as exc:
+            cli._to_float("q", raw)
+        assert str(exc.value) == f"key 'q': not a number: {raw!r}"
 
 
 class TestKernelCommand:
