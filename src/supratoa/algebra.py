@@ -29,18 +29,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def _power_fn(x):
-    """x -> x**d with libm's pow, elementwise on arrays.
-
-    np.power may take a SIMD route whose last bit differs from pow();
-    np.float_power calls pow() per element, so an array evaluation equals
-    the scalar evaluations element by element.
-    """
-    import numpy as np
-
-    return np.float_power if isinstance(x, np.ndarray) else pow
-
-
 def parse_rational(text: str) -> Rational:
     """Parse "num/den" or a plain integer string ("-3/4", "5")."""
     try:
@@ -198,10 +186,11 @@ class QPoly:
         terms = self._floats()
         if not terms:
             return np.zeros(x.shape) if isinstance(x, np.ndarray) else 0.0
-        power = _power_fn(x)
+        # np.float_power calls libm's pow per element, as x**d does on a float;
+        # np.power may take a SIMD route whose last bit differs
         total = 0.0
         for d, c in terms:
-            total += c * power(x, d)
+            total += c * np.float_power(x, d)
         return total
 
     def _floats(self) -> tuple[tuple[int, float], ...]:
@@ -439,13 +428,6 @@ class GradedKernel:
             for s, n in row.items()
         }
 
-    def entry(self, m: int, j: int, s: int) -> Rational:
-        rows, D = self.layers[j] if 0 <= j < len(self.layers) else ({}, 1)
-        return Fraction(rows.get(m, {}).get(s, 0), D)
-
-    def items(self) -> Iterator[tuple[tuple[int, int, int], Rational]]:
-        return iter(sorted(self.A.items()))
-
     def s_slice(self, s: int) -> dict[tuple[int, int], Rational]:
         """The (m, j) -> coefficient map at a fixed hbar grade."""
         return {
@@ -454,9 +436,6 @@ class GradedKernel:
             for m, row in rows.items()
             if s in row
         }
-
-    def max_grade(self) -> int:
-        return max((max(row) for rows, _ in self.layers for row in rows.values()), default=0)
 
     def replace_entry(self, m: int, j: int, s: int, coeff: RationalLike) -> "GradedKernel":
         """New table with one entry overridden (used for negative controls); 0 removes it."""

@@ -592,7 +592,8 @@ format = json
 
 # the keys every subcommand reads
 _COMMON_KEYS = {"potential", "mu", "x", "format", "out"}
-# both grid kinds' keys: the grid sample carries them all
+# both grid kinds' keys; the grid sample sets the kernel kind's only, so a toa
+# grid's pmin, pmax, np and quad_abs_tol keep their defaults unless set
 _GRID_KEYS = {
     "grid_kind", "hbar", "jmax", "qmin", "qmax", "nq", "qpmin", "qpmax", "nqp", "pmin", "pmax", "np", "quad_abs_tol",
 }

@@ -271,13 +271,17 @@ def commutator_residual(
     QuadratureFailure instead of returning a report, and so does a cell of
     the table at hbar or a coefficient of V beyond the float range. K is a
     GradedKernel, its KernelCells at hbar (what the commutator command
-    solves), or a callable. The error budget sums the outer estimate, hbar
-    times the overlap estimate, and the largest inner estimate integrated
-    over supp(phi); it has no term for truncation of the table.
+    solves), or a callable; a table or cells whose mass is not mu, or cells
+    at another hbar, raise ValueError. The error budget sums the outer
+    estimate, hbar times the overlap estimate, and the largest inner
+    estimate integrated over supp(phi); it has no term for truncation of
+    the table.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     c, kf = _as_kernel_func(K, hbar)  # the floats of the table, then of V: one beyond the float range is named
+    if isinstance(K, (GradedKernel, KernelCells)) and float(K.mu) != float(mu):
+        raise ValueError(f"kernel solved at mu = {K.mu}, evaluated at mu = {mu!r}")
     scale = abs(c)
     for d, coeff in V.poly.coeffs.items():
         _finite(f"V coefficient of q^{d}", operator.truediv, coeff.numerator, coeff.denominator)

@@ -122,11 +122,8 @@ def _integrate(g, ends, epsabs: float):
             finite = np.isfinite(val)
             if not finite.all():
                 raise QuadratureFailure(f"non-finite integral over panels {rows[i[np.argmin(finite)]].tolist()}")
-            # |g| over the row: level 1 sums the row's node values in one pass,
-            # on which its pinned outputs (toa grid digests) rest; later levels
-            # sum by panel, so that an empty panel adds exactly 0 there
-            mass = np.abs(wg).reshape(len(i), -1).sum(axis=1) if seen is None else np.abs(wg).sum(axis=2).sum(axis=1)
-            err = np.abs(fine - coarse).sum(axis=1) + _ROUNDOFF * mass
+            # |g| summed by panel, so that an empty panel adds exactly 0
+            err = np.abs(fine - coarse).sum(axis=1) + _ROUNDOFF * np.abs(wg).sum(axis=2).sum(axis=1)
             done = (err <= epsabs) | (level == len(_LEVELS) - 1)
             closed.append((i[done], val[done], err[done]))
             still.append(i[~done])

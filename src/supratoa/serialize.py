@@ -1,4 +1,5 @@
-"""JSON and CSV serialization for coefficient tables and sampled functions.
+"""JSON serialization for coefficient tables and momentum series, and the
+coefficient rows that the kernel command's JSON and CSV share.
 
 Rationals travel as strings ("num/den" or a plain integer string) so that
 round trips are bit-exact; polynomial coefficient lists are [degree, "coeff"]
@@ -140,15 +141,6 @@ def series_to_json(T: MomentumSeries) -> str:
 
 def series_from_json(text: str) -> MomentumSeries:
     return series_from_list(json.loads(text))
-
-
-def samples_to_csv(qgrid, values) -> str:
-    """CSV export of a sampled complex function, header "q,re,im"."""
-    lines = ["q,re,im"]
-    for q, val in zip(qgrid, values):
-        val = complex(val)
-        lines.append(f"{float(q)!r},{val.real!r},{val.imag!r}")
-    return "\n".join(lines) + "\n"
 
 
 def residual_report_to_dict(report: CommutatorReport) -> dict:

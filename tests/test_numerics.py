@@ -331,6 +331,16 @@ class TestApplyKernel:
         with pytest.raises(ValueError, match="hbar must be positive"):
             apply_kernel(solve_kernel_harmonic(1, 4), phi, [0.0], 0.0, QuadSpec(1e-10))
 
+    def test_kernel_at_another_mu_refused(self):
+        # H's mass and the kernel's must agree; a callable carries no mass to check
+        K = solve_kernel_general(KernelRequest(HARMONIC, 2, 4))
+        phi = BumpProfile(0.0, 0.5)
+        for kernel in (K, K.cells(1.0)):
+            with pytest.raises(ValueError, match=r"kernel solved at mu = 2, evaluated at mu = 1\.0"):
+                commutator_residual(HARMONIC, kernel, phi, phi, 1.0, 1.0, QuadSpec(1e-8))
+        assert commutator_residual(HARMONIC, K, phi, phi, 2.0, 1.0, QuadSpec(1e-8)).params["mu"] == 2.0
+        commutator_residual(HARMONIC, lambda q, qp: 0j, phi, phi, 1.0, 1.0, QuadSpec(1e-8))
+
     def test_graded_table_collapses_once_per_call(self, monkeypatch):
         # a table and its cells at hbar give the same values, and a graded
         # table is collapsed once per call, not once per batch of nodes
@@ -611,6 +621,25 @@ class TestBatchedRule:
         ref_vals, ref_errs, _ = per_row_apply(kf, f, self.PSI.support, outside, tol)
         assert vals.tolist() == ref_vals
         assert errs.tolist() == ref_errs
+
+    @pytest.mark.parametrize(
+        "w, tol, sizes",
+        [(1.0, 1e-13, [129]), (250.0, 1e-13, [129, 130]), (1.0, 1e-16, [129, 130, 260])],
+        ids=["level-1", "level-2", "level-3"],
+    )
+    def test_an_empty_panel_adds_exactly_zero(self, w, tol, sizes):
+        # the contract _apply's rows at or outside supp psi rest on, at the level each row closes
+        for a in np.linspace(0.1, 3.0, 200).tolist():
+            seen = []
+
+            def g(x):
+                seen.append(x.size)
+                return np.exp(a * x) * np.cos(w * x)
+
+            ref = _integrate(g, [-0.5, 0.5], tol)
+            assert seen == sizes
+            for ends in ([-0.5, -0.5, 0.5], [-0.5, 0.5, 0.5]):
+                assert _integrate(g, ends, tol) == ref
 
     def test_callable_kernel_gets_a_column_of_points(self):
         shapes = []

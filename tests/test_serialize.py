@@ -1,4 +1,4 @@
-"""Round-trip fidelity of the JSON/CSV interchange formats."""
+"""Round-trip fidelity of the JSON interchange formats."""
 
 import contextlib
 import io
@@ -25,7 +25,6 @@ from supratoa.serialize import (
     poly_from_pairs,
     poly_to_pairs,
     residual_report_to_dict,
-    samples_to_csv,
     series_from_json,
     series_to_json,
 )
@@ -172,22 +171,6 @@ class TestSeriesJson:
         series = local_toa(Potential.free(), 1, 0, 3)
         data = json.loads(series_to_json(series))
         assert data == [{"k": 0, "s": 0, "poly": [[1, "-1"]]}]
-
-
-class TestCsv:
-    def test_header_and_rows(self):
-        text = samples_to_csv([0.0, 0.5], [1 + 2j, -0.25j])
-        lines = text.splitlines()
-        assert lines[0] == "q,re,im"
-        assert len(lines) == 3
-        q, re, im = (float(tok) for tok in lines[2].split(","))
-        assert (q, re, im) == (0.5, 0.0, -0.25)
-
-    def test_floats_survive_exactly(self):
-        val = 0.1 + 0.3j
-        text = samples_to_csv([1 / 3], [val])
-        _, re, im = (float(tok) for tok in text.splitlines()[1].split(","))
-        assert re == val.real and im == val.imag
 
 
 class TestResidualReport:
