@@ -13,6 +13,7 @@ functions of that path, so the exact layer starts without it.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -494,12 +495,20 @@ def hbar_weight(mu: RationalLike, hbar: float) -> Rational:
     return Fraction(mu) / (2 * Fraction(hbar) ** 2)
 
 
-def _cell_float(n: int, D: int, m: int, j: int) -> float:
-    """Cell (m, j) = n / D rounded once, or QuadratureFailure naming it beyond the float range."""
+def _finite(name: str, f, *args) -> float:
+    """f(*args), a float, or QuadratureFailure naming the quantity when it leaves the float range.
+
+    A scalar check without numpy: Python raises OverflowError where an int
+    quotient or a float power overflows, and a product or a sum that
+    overflows gives inf or NaN.
+    """
     try:
-        return n / D
+        value = f(*args)
     except OverflowError:
-        raise QuadratureFailure(f"kernel cell (m, j) = ({m}, {j}) is beyond the float range") from None
+        value = math.inf
+    if not math.isfinite(value):
+        raise QuadratureFailure(f"{name} is beyond the float range")
+    return value
 
 
 class KernelCells:
@@ -555,7 +564,7 @@ class KernelCells:
                     values += [n / D for n in nums.values()]
                 except OverflowError:
                     for m, n in nums.items():
-                        _cell_float(n, D, m, j)  # names the first cell beyond the float range
+                        _finite(f"kernel cell (m, j) = ({m}, {j})", operator.truediv, n, D)
                 ms += nums
                 js += [j] * len(nums)
                 top.update(dict.fromkeys(nums, j))

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import QPoly, poly_shift
-from .classical_toa import _ACCESS_MARGIN, PhasePoint, Potential, _critical_values, _finite
+from .algebra import QPoly, _finite, poly_shift
+from .classical_toa import _ACCESS_MARGIN, PhasePoint, Potential, _critical_values
 from .errors import NotAccessible, QuadratureFailure, SupratoaError, ZeroMomentum
 from .quadrature import _integrate
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .algebra import MomentumSeries, QPoly, Rational, RationalLike, poly_shift
+from .algebra import MomentumSeries, QPoly, Rational, RationalLike, _finite, poly_shift
 from .errors import QuadratureFailure, SupratoaError, ZeroMomentum
 
 if TYPE_CHECKING:
@@ -27,22 +27,6 @@ if TYPE_CHECKING:
 # Interior margin for the accessibility guard: the inverse-square-root
 # integrand is only evaluated where H - V > margin * max(1, |H|).
 _ACCESS_MARGIN = 1e-12
-
-
-def _finite(name: str, f, *args) -> float:
-    """f(*args), a float, or QuadratureFailure naming the quantity when it leaves the float range.
-
-    A scalar check without numpy: Python raises OverflowError where an int
-    quotient or a float power overflows, and a product or a sum that
-    overflows gives inf or NaN.
-    """
-    try:
-        value = f(*args)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise QuadratureFailure(f"{name} is beyond the float range")
-    return value
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,10 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .algebra import QPoly, parse_rational, poly_shift
+from .algebra import QPoly, _finite, parse_rational, poly_shift
 from .classical_toa import (
     PhasePoint,
     Potential,
-    _finite,
     convergence_margin,
     local_toa,
     local_toa_value,
@@ -54,8 +53,6 @@ from .serialize import kernel_to_dict  # noqa: F401  no caller here; perfbench/t
 from .transforms import classical_limit, hbar2_residual, weyl_quantize, wigner_transform
 
 _FORMATS = ("json", "csv")
-
-_GRID_KINDS = ("kernel", "toa")
 
 
 @dataclass
@@ -188,10 +185,11 @@ _PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
 def parse_config_text(text: str, command: str) -> RunConfig:
     """Parse the flat key = value config format into a validated RunConfig.
 
-    A key the subcommand never reads is refused, like an unknown one.
+    A key the subcommand never reads is refused, like an unknown one, and so
+    is a key that only the other grid kind reads, whichever line sets grid_kind.
     """
     keys = _COMMANDS[command][2]
-    values = {}
+    values, linenos = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -205,6 +203,14 @@ def parse_config_text(text: str, command: str) -> RunConfig:
         if key not in keys:
             raise ConfigError(f"line {lineno}: key {key!r} has no effect on {command}")
         values[key] = parser(key, raw)
+        linenos.setdefault(key, lineno)
+    if command == "grid":  # the first line that sets a key of the other kind is named
+        kind = values.get("grid_kind", RunConfig.grid_kind)
+        if kind not in _GRID_KINDS:
+            raise ConfigError(f"key 'grid_kind': must be one of {tuple(_GRID_KINDS)}")
+        for key, lineno in linenos.items():
+            if key not in _GRID_SHARED_KEYS | _GRID_KINDS[kind]:
+                raise ConfigError(f"line {lineno}: key {key!r} has no effect on a {kind} grid")
     config = RunConfig(**values)
     _validate(config)
     return config
@@ -221,8 +227,6 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("key 'mu': must be positive")
     if config.hbar <= 0:
         raise ConfigError("key 'hbar': must be positive")
-    if config.grid_kind not in _GRID_KINDS:
-        raise ConfigError(f"key 'grid_kind': must be one of {_GRID_KINDS}")
     if config.phi_halfwidth <= 0 or config.psi_halfwidth <= 0:
         raise ConfigError("bump halfwidths must be positive")
     if min(config.nq, config.nqp, config.np) < 1:
@@ -564,15 +568,11 @@ format = json
 grid_kind = kernel
 potential = 2:1/2
 mu = 1
-hbar = 1
-jmax = 6
 qmin = -1
 qmax = 1
 nq = 50
-qpmin = -1
-qpmax = 1
-nqp = 50
-# toa grids use pmin/pmax/np for the momentum axis and quad_abs_tol
+# a kernel grid also reads, with these defaults: hbar = 1, jmax = 6, qpmin = -1, qpmax = 1, nqp = 50
+# a toa grid also reads, with these defaults: pmin = 1/2, pmax = 3/2, np = 50, quad_abs_tol = 1e-10
 format = csv
 # out = grid.csv
 """,
@@ -592,23 +592,26 @@ format = json
 
 # the keys every subcommand reads
 _COMMON_KEYS = {"potential", "mu", "x", "format", "out"}
-# both grid kinds' keys; the grid sample sets the kernel kind's only, so a toa
-# grid's pmin, pmax, np and quad_abs_tol keep their defaults unless set
-_GRID_KEYS = {
-    "grid_kind", "hbar", "jmax", "qmin", "qmax", "nq", "qpmin", "qpmax", "nqp", "pmin", "pmax", "np", "quad_abs_tol",
+# the keys every grid reads, and grid_kind -> the keys only a grid of that kind
+# reads; parse_config_text refuses the other kind's
+_GRID_SHARED_KEYS = _COMMON_KEYS | {"grid_kind", "qmin", "qmax", "nq"}
+_GRID_KINDS = {
+    "kernel": {"hbar", "jmax", "qpmin", "qpmax", "nqp"},
+    "toa": {"pmin", "pmax", "np", "quad_abs_tol"},
 }
 _COMMUTATOR_KEYS = {
     "hbar", "jmax", "quad_abs_tol", "threshold", "phi_center", "phi_halfwidth", "psi_center", "psi_halfwidth",
 }
 
 # subcommand -> (command, the formats it writes, the first its default, and
-# the config keys it reads; commutator and weyl-compare read x to refuse it)
+# the config keys it reads, for grid those of either kind; commutator and
+# weyl-compare read x to refuse it)
 _COMMANDS = {
     "kernel": (cmd_kernel, ("json", "csv"), _COMMON_KEYS | {"jmax"}),
     "classical-limit": (cmd_classical_limit, ("json",), _COMMON_KEYS | {"jmax", "kmax"}),
     "commutator": (cmd_commutator, ("json",), _COMMON_KEYS | _COMMUTATOR_KEYS),
     "weyl-compare": (cmd_weyl_compare, ("json",), _COMMON_KEYS | {"kmax"}),
-    "grid": (cmd_grid, ("csv",), _COMMON_KEYS | _GRID_KEYS),
+    "grid": (cmd_grid, ("csv",), _GRID_SHARED_KEYS.union(*_GRID_KINDS.values())),
     "toa": (cmd_toa, ("json",), _COMMON_KEYS | {"q", "p", "kmax", "quad_abs_tol"}),
 }
 

@@ -24,11 +24,12 @@ exact cross-checks of the general recurrence.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .algebra import GradedKernel, KernelCells, QPoly, Rational, RationalLike, _cell_float, hbar_weight
+from .algebra import GradedKernel, KernelCells, QPoly, Rational, RationalLike, _finite, hbar_weight
 from .classical_toa import Potential
 
 
@@ -194,7 +195,7 @@ def _check_float_range(nums: dict[int, int], D: int, j: int) -> None:
     bits = D.bit_length() + 1022
     for m, n in nums.items():
         if n.bit_length() > bits:
-            _cell_float(n, D, m, j)
+            _finite(f"kernel cell (m, j) = ({m}, {j})", operator.truediv, n, D)
 
 
 def solve_kernel_harmonic(muomega: RationalLike, Jmax: int, mu: RationalLike = 1) -> GradedKernel:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GradedKernel, KernelCells
-from .classical_toa import Potential, _finite
+from .algebra import GradedKernel, KernelCells, _finite
+from .classical_toa import Potential
 from .errors import ArgumentTooNegative, NoConvergence, QuadratureFailure, ZeroOverlap
 from .kernel_solver import kernel_eval  # noqa: F401  (perfbench/trace.py wraps numerics.kernel_eval)
 from .quadrature import _integrate

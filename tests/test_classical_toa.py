@@ -280,6 +280,12 @@ class TestQuadrature:
         with pytest.raises(NotAccessible):
             toa_quadrature(V, PhasePoint(0.0, 1.0, x=3.0))
 
+    def test_integrand_refuses_a_closed_node(self):
+        # H = 1/4 under V = q^2/2 closes at |q'| = 0.707: the node at q' = 0.9 is named
+        g = arrival._integrand(HARMONIC, np.array([0.25]), None)
+        with pytest.raises(NotAccessible, match=r"^H - V <= 0 at q' = 0\.9$"):
+            g(np.array([[0.1, 0.9]]), np.array([0]))
+
     def test_barrier_between_scan_points_rejected(self):
         # the barrier peak at q = 8193/16384 is a root of V'; H sits 1e-3
         # below it, a forbidden zone 6.3e-5 wide that only the critical

@@ -1,6 +1,7 @@
 """Command-line surface: configs, formats, exit codes, output contracts."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -270,11 +271,22 @@ class TestConfigErrors:
         assert code == 1
         assert "mu" in err
 
-    def test_bad_potential_token(self, tmp_path):
-        path = write_config(tmp_path, "potential = 2:1/0\n")
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("2:1/0", "not a rational: '1/0'"),
+            ("2", "token '2' is not degree:coeff"),
+            ("-1:1", "negative degree -1"),
+            ("", "empty (use 'free' for V = 0)"),
+        ],
+        ids=["bad-rational", "not-a-pair", "negative-degree", "empty"],
+    )
+    def test_bad_potential_token(self, tmp_path, raw, message):
+        path = write_config(tmp_path, f"potential = {raw}\n")
         code, _, err = invoke(["kernel", "--config", path])
         assert code == 1
         assert "potential" in err
+        assert err == f"config error: key 'potential': {message}\n"
 
     def test_missing_file(self):
         code, _, err = invoke(["kernel", "--config", "/nonexistent/nowhere.conf"])
@@ -333,11 +345,31 @@ class TestConfigErrors:
         assert not out
         assert f"key {key!r} has no effect on {cmd}" in err
 
-    def test_grid_reads_both_kinds_keys(self, tmp_path):
-        text = "grid_kind = toa\npotential = 2:1/2\nhbar = 2\njmax = 3\nqpmin = 0\nnqp = 2\nnq = 2\nnp = 2\n"
-        code, out, _ = invoke(["grid", "--config", write_config(tmp_path, text)])
-        assert code == 0
-        assert out.startswith("q,p,toa\n")
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            (
+                "toa",
+                "potential = 2:1/2\nhbar = 2\njmax = 3\nqpmin = 0\nnqp = 2\nnq = 2\nnp = 2\ngrid_kind = toa\n",
+                "line 2: key 'hbar' has no effect on a toa grid",
+            ),
+            (
+                "kernel",
+                "potential = 2:1/2\nnq = 2\nnqp = 2\npmin = 0\npmax = 1\nnp = 2\nquad_abs_tol = 1e-8\n",
+                "line 4: key 'pmin' has no effect on a kernel grid",
+            ),
+        ],
+        ids=["toa", "kernel"],
+    )
+    def test_grid_refuses_the_other_kinds_keys(self, tmp_path, kind, text, message):
+        # grid_kind may come after the keys it rules out; without them the grid runs
+        code, out, err = invoke(["grid", "--config", write_config(tmp_path, text)])
+        assert (code, out, err) == (1, "", f"config error: {message}\n")
+        other = set().union(*cli._GRID_KINDS.values()) - cli._GRID_KINDS[kind]
+        own = "".join(line + "\n" for line in text.splitlines() if line.split(" = ")[0] not in other)
+        code, out, err = invoke(["grid", "--config", write_config(tmp_path, own)])
+        assert (code, err) == (0, "")
+        assert out.startswith({"kernel": "q,qp,re,im\n", "toa": "q,p,toa\n"}[kind])
 
     @pytest.mark.parametrize("mu", ["0", "-1/2"])
     def test_nonpositive_mass_rejected(self, tmp_path, mu):
@@ -399,7 +431,8 @@ class TestConfigErrors:
     )
     def test_grid_span_beyond_float_range_rejected(self, tmp_path, kind, lo, hi, span):
         low, high = span.split()
-        text = f"grid_kind = {kind}\npotential = 2:1/2\n{lo} = {low}\n{hi} = {high}\nnq = 3\nnqp = 2\nnp = 2\n"
+        count = {"kernel": "nqp", "toa": "np"}[kind]
+        text = f"grid_kind = {kind}\npotential = 2:1/2\n{lo} = {low}\n{hi} = {high}\nnq = 3\n{count} = 2\n"
         code, out, err = invoke(["grid", "--config", write_config(tmp_path, text)])
         assert (code, out) == (1, "")
         assert err == f"config error: keys {lo!r} and {hi!r}: the span {hi} - {lo} is beyond the float range\n"
@@ -425,6 +458,35 @@ class TestConfigErrors:
         assert code == 1
         assert not out
         assert f"{cmd} writes" in err and repr(fmt) in err
+
+
+class TestConfigKeys:
+    def test_every_key_is_read(self, tmp_path):
+        """RunConfig has a field for each key a subcommand declares and no other,
+        the grid kinds' own keys are disjoint, and each run of a sample reads
+        every key it declares, format among them (_run_command resolves it)."""
+        declared = set().union(*(keys for _, _, keys in cli._COMMANDS.values()))
+        assert declared == {f.name for f in dataclasses.fields(cli.RunConfig)} and len(declared) == 26
+        assert not cli._GRID_KINDS["kernel"] & cli._GRID_KINDS["toa"]
+        runs = [(cmd, cli._SAMPLES[cmd], keys) for cmd, (_, _, keys) in cli._COMMANDS.items() if cmd != "grid"]
+        for kind, own in cli._GRID_KINDS.items():
+            sample = cli._SAMPLES["grid"].replace("grid_kind = kernel", f"grid_kind = {kind}")
+            runs.append(("grid", sample, cli._GRID_SHARED_KEYS | own))
+        reads = set()
+
+        class Recorded(cli.RunConfig):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return object.__getattribute__(self, name)
+
+        for cmd, sample, keys in runs:
+            sets = {line.split("=")[0].strip() for line in sample.splitlines() if "=" in line and line[0] != "#"}
+            config = cli.parse_config_text(sample, cmd)
+            config.out, config.format = str(tmp_path / "out"), config.format or cli._COMMANDS[cmd][1][0]
+            recorded = Recorded(**vars(config))
+            reads.clear()
+            assert cli._COMMANDS[cmd][0](recorded) == 0
+            assert sets <= keys == (reads & declared) | {"format"}, (cmd, sample)
 
 
 def exact_float(raw):
@@ -552,6 +614,23 @@ class TestKernelCommand:
             " int-to-str conversion; 'potential', 'x' and 'jmax' set its size\n"
         )
         assert not target.exists()
+
+    def test_failed_checks_write_diagnostics(self, tmp_path, monkeypatch):
+        # a seed entry of 1/2 in place of 1/4 breaks boundary conditions (i) and (iii) and the residual
+        solve = cli.solve_kernel_general
+        monkeypatch.setattr(cli, "solve_kernel_general", lambda req: solve(req).replace_entry(1, 0, 0, F(1, 2)))
+        code, out, err = invoke(["kernel", "--config", write_config(tmp_path, "potential = 2:1/2\njmax = 3\n")])
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {
+            "diagnostics": {
+                "boundary_failures": [
+                    "(i) v = 0 slice differs from u/4",
+                    "(iii) diagonal derivative combination differs from 1",
+                ],
+                "pde_residual_order": 3,
+                "required_min_order": 8,
+            }
+        }
 
 
 class TestClassicalLimitCommand:
@@ -855,8 +934,9 @@ class TestFloatCommandsSolveAtHbar:
         # hbar^2 is 0 in floats; w = mu / 2 hbar^2 is exact, so no float
         # division by zero is left to reach the generic error line
         text = cli._SAMPLES[cmd]
-        for key, value in changes.items():
-            text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        for key, value in changes.items():  # set where the sample sets it, else appended
+            text, found = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+            text += "" if found else f"{key} = {value}\n"
         code, out, err = invoke([cmd, "--config", write_config(tmp_path, text)])
         assert (code, out) == (2, "")
         assert re.fullmatch(f"verification failure: {message}\n", err), err
@@ -1127,6 +1207,10 @@ class TestExitCodeContract:
 
     def config(self, command, overrides):
         values = {**(self.SMALL_GRID if command == "grid" else {}), **overrides}
+        if command == "grid":  # a grid takes its own kind's keys only: the other kind's drawn keys are dropped
+            kind = values.get("grid_kind", "kernel")
+            other = set().union(*cli._GRID_KINDS.values()) - cli._GRID_KINDS.get(kind, set())
+            values = {key: value for key, value in values.items() if key not in other}
         lines = [line for line in cli._SAMPLES[command].splitlines()
                  if line.partition("=")[0].strip() not in values]
         return "\n".join(lines + [f"{key} = {value}" for key, value in values.items()]) + "\n"

@@ -488,6 +488,13 @@ class TestBoundary:
         assert not report.passed
         assert any("(i)" in f for f in report.failures)
 
+    def test_entry_beyond_the_grade_range_fails_index_condition(self):
+        # from_layers takes the layers unchecked: entry (3, 1, 1) has s > j - 1
+        layers = [({m: dict(row) for m, row in rows.items()}, D) for rows, D in solve_kernel_harmonic(1, 3).layers]
+        layers[1][0][3][1] = 1
+        report = boundary_check(GradedKernel.from_layers(layers, 1, (7, 3)))
+        assert report.failures == ("(ii) entries outside valid index ranges: [(3, 1, 1)]",)
+
     def test_extra_row_zero_entry_fails_derivative_condition(self):
         K = solve_kernel_harmonic(1, 3).replace_entry(3, 0, 0, F(1, 100))
         report = boundary_check(K)

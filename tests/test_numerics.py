@@ -317,6 +317,12 @@ class TestApplyKernel:
         with pytest.raises(QuadratureFailure, match="kernel factor"):
             commutator_residual(Potential.free(), cells, phi, phi, 1.0, hbar, QuadSpec(1e-8))
 
+    def test_cell_beyond_the_float_range_is_named(self):
+        # a graded table's cells are rounded on its first float evaluation, and the first too large is named
+        K = GradedKernel({(1, 0, 0): F(1, 4), (3, 1, 0): 10**400}, 1, (3, 1))
+        with pytest.raises(QuadratureFailure, match=r"^kernel cell \(m, j\) = \(3, 1\) is beyond the float range$"):
+            apply_kernel(K, BumpProfile(0.0, 0.5), [0.0], 1.0, QuadSpec(1e-10))
+
     def test_rejects_non_kernel(self):
         with pytest.raises(TypeError):
             apply_kernel(42, BumpProfile(0.0, 0.5), [0.0], 1.0, QuadSpec(1e-10))
